@@ -49,8 +49,8 @@ SWEEP_ENGINE = "batched-icp"
 #: matrix: wall-clock limits are machine-dependent (the same search can
 #: be UNKNOWN on a slow box and UNSAT on a fast one), so they are
 #: removed; cartpole's box/iteration/LP budgets are cut to keep the 4-D
-#: stress workload bounded (32 samples/edge in 4-D is a 4M-row
-#: separation block — the LP alone takes minutes at full density).
+#: stress workload bounded (32 samples/edge in 4-D is ~240k distinct
+#: boundary points, one LP row each — several seconds of HiGHS per fit).
 PARITY_BUDGETS = {
     "cartpole": {
         "max_boxes": 200,

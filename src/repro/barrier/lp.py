@@ -35,7 +35,6 @@ from .templates import GeneratorTemplate
 __all__ = [
     "LpConfig",
     "GeneratorCandidate",
-    "LpAssembler",
     "fit_generator",
     "points_from_traces",
 ]
@@ -103,7 +102,7 @@ class GeneratorCandidate:
     ) -> np.ndarray:
         """Numeric ``∇W(x_i)·f(x_i)``."""
         grads = self.template.gradient(self.coefficients, points)
-        flows = system.f_batch(points)
+        flows = system.f_vectorized(points)
         return np.sum(grads * flows, axis=1)
 
     def __repr__(self) -> str:
@@ -113,93 +112,28 @@ class GeneratorCandidate:
         )
 
 
-class LpAssembler:
-    """Incremental LP row assembly across refinement iterations.
-
-    The candidate loop re-solves the LP every iteration on a point cloud
-    that only ever *grows* — each δ-SAT counterexample appends one trace
-    — yet :func:`fit_generator` historically re-derived every feature and
-    Lie-derivative row from scratch.  An assembler (one per synthesis
-    run) caches the per-point rows, so a re-solve only evaluates the
-    template and vector field on points it has never seen, and the
-    separation block (a pure function of the initial-set vertices and
-    unsafe-boundary samples, both fixed for the run) exactly once.
-
-    The assembled matrix is **bit-identical** to a from-scratch build:
-    every cached row is a function of its own sample point alone —
-    :meth:`~repro.barrier.templates.GeneratorTemplate.features`,
-    :meth:`~repro.barrier.templates.GeneratorTemplate.gradient_features`,
-    and :meth:`~repro.dynamics.ContinuousSystem.f_batch` all evaluate
-    row-independently — so computing it in an earlier (smaller) batch
-    yields the same floats, and the LP solver sees the same problem
-    either way (``tests/barrier/test_lp_incremental.py``).
-    """
-
-    def __init__(self, template: GeneratorTemplate, system: ContinuousSystem):
-        self.template = template
-        self.system = system
-        #: per-point cache: C-order float64 row bytes -> (phi, lie) rows
-        self._rows: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-        self._separation: dict[tuple[bytes, bytes], np.ndarray] = {}
-
-    @property
-    def cached_points(self) -> int:
-        """Number of sample points with cached rows."""
-        return len(self._rows)
-
-    def point_rows(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(phi, lie)`` rows for ``points``, computing only new ones.
-
-        ``phi[i]`` is the basis-function row ``phi_j(x_i)`` and
-        ``lie[i]`` the Lie-derivative row ``∇phi_j(x_i)·f(x_i)``, in the
-        order of ``points``.
-        """
-        points = np.ascontiguousarray(points, dtype=float)
-        keys = [row.tobytes() for row in points]
-        rows = self._rows
-        new_indices = [i for i, key in enumerate(keys) if key not in rows]
-        if new_indices:
-            fresh = points[new_indices]
-            phi_new = self.template.features(fresh)
-            grad_new = self.template.gradient_features(fresh)
-            flows = self.system.f_batch(fresh)
-            lie_new = np.einsum("md,mdk->mk", flows, grad_new)
-            for j, i in enumerate(new_indices):
-                rows[keys[i]] = (phi_new[j], lie_new[j])
-        k = self.template.basis_size
-        phi = np.empty((len(points), k))
-        lie = np.empty((len(points), k))
-        for i, key in enumerate(keys):
-            phi_row, lie_row = rows[key]
-            phi[i] = phi_row
-            lie[i] = lie_row
-        return phi, lie
-
-    def separation_block(
-        self, inner: np.ndarray, boundary: np.ndarray, k: int
-    ) -> np.ndarray:
-        """The ``W(v) - W(s) + t <= 0`` rows, built once per pair."""
-        inner = np.atleast_2d(np.asarray(inner, dtype=float))
-        boundary = np.atleast_2d(np.asarray(boundary, dtype=float))
-        key = (inner.tobytes(), boundary.tobytes())
-        block = self._separation.get(key)
-        if block is None:
-            block = _separation_rows(self.template, inner, boundary, k)
-            self._separation[key] = block
-        return block
-
-
-def _separation_rows(
-    template: GeneratorTemplate, inner: np.ndarray, boundary: np.ndarray, k: int
+def _separation_block(
+    template: GeneratorTemplate, inner: np.ndarray, boundary: np.ndarray
 ) -> np.ndarray:
-    """Normalized separation rows ``[diff / scale | 1 / scale]``."""
-    phi_inner = template.features(inner)  # (v, k)
-    phi_boundary = template.features(boundary)  # (s, k)
-    # W(v) - W(s) + t <= 0 for every (vertex, boundary-sample) pair.
-    diff = phi_inner[:, None, :] - phi_boundary[None, :, :]
-    diff = diff.reshape(-1, k)
-    scale = np.maximum(np.abs(diff).max(axis=1, keepdims=True), 1.0)
-    return np.hstack([diff / scale, 1.0 / scale])
+    """Rows over ``z = [c, t, a, b]`` encoding ``W(v) + t <= W(s)`` for all pairs.
+
+    With free auxiliaries ``a`` and ``b`` the pairwise constraints become
+    ``W(v) <= a`` per inner point, ``b <= W(s)`` per boundary point and
+    ``a + t <= b``: ``v + s + 1`` rows instead of ``v * s``, with exactly
+    the same feasible ``(c, t)`` set.  Each row is divided by
+    ``max(|row|, 1)``.
+    """
+    k = template.basis_size
+    phi_inner = template.features(np.atleast_2d(np.asarray(inner, dtype=float)))
+    phi_boundary = template.features(np.atleast_2d(np.asarray(boundary, dtype=float)))
+    v, s = len(phi_inner), len(phi_boundary)
+    block = np.zeros((v + s + 1, k + 3))
+    block[:v, :k] = phi_inner
+    block[:v, k + 1] = -1.0
+    block[v:-1, :k] = -phi_boundary
+    block[v:-1, k + 2] = 1.0
+    block[-1, k:] = (1.0, 1.0, -1.0)
+    return block / np.maximum(np.abs(block).max(axis=1, keepdims=True), 1.0)
 
 
 def points_from_traces(
@@ -221,7 +155,6 @@ def fit_generator(
     system: ContinuousSystem,
     config: LpConfig | None = None,
     separation: "tuple[np.ndarray, np.ndarray] | None" = None,
-    assembler: LpAssembler | None = None,
 ) -> GeneratorCandidate:
     """Solve the margin-maximizing LP for the template coefficients.
 
@@ -232,13 +165,10 @@ def fit_generator(
     candidates whose sublevel sets can actually separate ``X0`` from
     ``U`` (pure decrease-margin maximization can produce skewed
     candidates with no feasible level; soundness is unaffected since the
-    SMT checks still gate the final certificate).
-
-    ``assembler``, when given, is a per-run :class:`LpAssembler` bound
-    to the same template and system: constraint rows for already-seen
-    points come from its cache, so counterexample-refinement re-solves
-    only evaluate the new trace's rows.  The assembled LP (and hence
-    the fitted coefficients) is bit-identical with or without it.
+    SMT checks still gate the final certificate).  Two free auxiliary
+    variables carry these constraints in ``v + s + 1`` rows (see
+    :func:`_separation_block`), so the LP grows with the number of
+    points, never with their pairwise product.
 
     Raises
     ------
@@ -247,12 +177,6 @@ def fit_generator(
         i.e. no candidate in this template fits the sampled evidence.
     """
     config = config or LpConfig()
-    if assembler is not None and (
-        assembler.template is not template or assembler.system is not system
-    ):
-        raise LinearProgramError(
-            "assembler is bound to a different template or system"
-        )
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != template.dimension:
         raise LinearProgramError(
@@ -271,46 +195,32 @@ def fit_generator(
     norms_sq = np.sum(points**2, axis=1)
 
     k = template.basis_size
-    if assembler is not None:
-        phi, lie_rows = assembler.point_rows(points)  # (m, k) each
-    else:
-        phi = template.features(points)  # (m, k)
-        grad_phi = template.gradient_features(points)  # (m, n, k)
-        flows = system.f_batch(points)  # (m, n)
-        lie_rows = np.einsum("md,mdk->mk", flows, grad_phi)  # (m, k)
+    phi = template.features(points)  # (m, k)
+    grad_phi = template.gradient_features(points)  # (m, n, k)
+    flows = system.f_vectorized(points)  # (m, n)
+    lie_rows = np.einsum("md,mdk->mk", flows, grad_phi)  # (m, k)
 
-    # Decision vector z = [c_1..c_k, t]; maximize t  <=>  minimize -t.
-    # Every row is normalized by |x|^2 so its coefficients are O(1)
+    # Decision vector z = [c_1..c_k, t] (+ [a, b] with separation);
+    # maximize t  <=>  minimize -t.
+    # Every point row is normalized by |x|^2 so its coefficients are O(1)
     # regardless of how close the sample sits to the equilibrium —
     # un-normalized rows from converged trace tails (|x| ~ 1e-9) are
     # numerically invisible to the LP solver and silently corrupt it.
-    rows = []
-    rhs = []
-    ones = np.ones((len(points), 1))
     # Decrease: (lie_rows / |x|^2) @ c + t <= 0.
-    rows.append(np.hstack([lie_rows / norms_sq[:, None], ones]))
-    rhs.append(np.zeros(len(points)))
-    if config.enforce_positivity:
-        # Positivity: -(phi / |x|^2) @ c + t <= 0.
-        rows.append(np.hstack([-phi / norms_sq[:, None], ones]))
-        rhs.append(np.zeros(len(points)))
-    if separation is not None:
-        inner, boundary = separation
-        if assembler is not None:
-            block = assembler.separation_block(inner, boundary, k)
-        else:
-            inner = np.atleast_2d(np.asarray(inner, dtype=float))
-            boundary = np.atleast_2d(np.asarray(boundary, dtype=float))
-            block = _separation_rows(template, inner, boundary, k)
-        rows.append(block)
-        rhs.append(np.zeros(block.shape[0]))
-    a_ub = np.vstack(rows)
-    b_ub = np.concatenate(rhs)
-
+    # Positivity: -(phi / |x|^2) @ c + t <= 0.
+    blocks = [lie_rows, -phi] if config.enforce_positivity else [lie_rows]
     bound = config.coefficient_bound
     bounds = [(-bound, bound)] * k + [(0.0, None)]
-    cost = np.zeros(k + 1)
-    cost[-1] = -1.0
+    if separation is not None:
+        bounds += [(None, None)] * 2
+    a_ub = np.zeros((len(blocks) * len(points), len(bounds)))
+    a_ub[:, :k] = np.vstack(blocks) / np.tile(norms_sq, len(blocks))[:, None]
+    a_ub[:, k] = 1.0
+    if separation is not None:
+        a_ub = np.vstack([a_ub, _separation_block(template, *separation)])
+    b_ub = np.zeros(len(a_ub))
+    cost = np.zeros(len(bounds))
+    cost[k] = -1.0
 
     outcome = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not outcome.success:
@@ -319,7 +229,7 @@ def fit_generator(
             f"({len(points)} points, basis {k})"
         )
     coefficients = outcome.x[:k]
-    margin = float(outcome.x[-1])
+    margin = float(outcome.x[k])
     if margin < config.min_margin:
         raise InfeasibleLPError(
             f"generator LP margin {margin:.3e} below minimum "

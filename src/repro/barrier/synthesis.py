@@ -257,7 +257,6 @@ def verify_system(
         problem.initial_set.vertices(),
         _unsafe_boundary_samples(problem, config.lp.separation_samples),
     )
-    assembler = _make_assembler(engine_obj, template, system)
     generator_t0 = time.perf_counter()
 
     if config.try_lyapunov_first and isinstance(template, QuadraticTemplate):
@@ -293,12 +292,9 @@ def verify_system(
         with stage("lp-fit", iteration):
             points = points_from_traces(traces)
             lp_t0 = time.perf_counter()
-            fit_kwargs = {"separation": separation}
-            if assembler is not None:
-                fit_kwargs["assembler"] = assembler
             try:
                 candidate = engine_obj.lp.fit(
-                    template, points, system, config.lp, **fit_kwargs
+                    template, points, system, config.lp, separation=separation
                 )
             except InfeasibleLPError:
                 report.lp_seconds += time.perf_counter() - lp_t0
@@ -369,26 +365,6 @@ def verify_system(
 # ----------------------------------------------------------------------
 # Internals
 # ----------------------------------------------------------------------
-def _make_assembler(engine: "Engine", template: GeneratorTemplate, system):
-    """A per-run incremental LP assembler, when the backend takes one.
-
-    The assembler keyword is part of the :class:`~repro.engine.LpBackend`
-    protocol but optional for implementors; inspect once per run instead
-    of guessing with try/except inside the candidate loop.
-    """
-    import inspect
-
-    from .lp import LpAssembler
-
-    try:
-        parameters = inspect.signature(engine.lp.fit).parameters
-    except (TypeError, ValueError):  # builtins / C-implemented callables
-        return None
-    if "assembler" not in parameters:
-        return None
-    return LpAssembler(template, system)
-
-
 def _seed_traces(
     problem: VerificationProblem,
     config: SynthesisConfig,
@@ -476,6 +452,8 @@ def _unsafe_boundary_samples(
 
     These feed the LP's separation constraints: the fitted ``W`` should
     exceed its X0-vertex values everywhere the level set must not reach.
+    Adjacent facet grids share their edges and corners; each point is
+    returned once, ``per_edge**n - (per_edge - 2)**n`` in all.
     """
     safe = problem.unsafe_set.safe_rectangle
     n = safe.dimension
@@ -492,7 +470,7 @@ def _unsafe_boundary_samples(
                     )
             mesh = np.meshgrid(*axes, indexing="ij")
             samples.append(np.stack([m.ravel() for m in mesh], axis=-1))
-    return np.vstack(samples)
+    return np.unique(np.vstack(samples), axis=0)
 
 
 def _simulate_from(

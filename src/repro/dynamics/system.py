@@ -112,8 +112,9 @@ class ContinuousSystem:
         to a Python loop: it uses ``numeric_batch_override`` when
         supplied and the vectorized compiled tapes otherwise.  The
         results agree with :meth:`f_batch` to floating-point round-off
-        (BLAS batch kernels may reorder reductions), which is why the
-        bit-exact ``native`` engine does not use it.
+        (BLAS batch kernels may reorder reductions).  The batch simulator
+        and the LP's Lie-derivative rows use it; the scalar ``native``
+        simulator integrates through :meth:`f` instead.
         """
         states = np.atleast_2d(np.asarray(states, dtype=float))
         if self._numeric_batch_override is not None:

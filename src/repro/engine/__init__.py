@@ -6,8 +6,8 @@ An :class:`Engine` bundles one backend per solver role — simulation
 scenario registry of :mod:`repro.api.scenario`.  Six engines ship
 built in:
 
-``native``        the historical scalar code paths (default;
-                  bit-identical to pre-engine behavior)
+``native``        the historical scalar simulation and SMT code
+                  paths (default)
 ``vectorized``    NumPy batch integrator stepping every seed trace
                   through one array pass per RK stage
 ``parallel-smt``  independent condition-(5)/(6)/(7) subproblem boxes

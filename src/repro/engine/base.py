@@ -76,17 +76,9 @@ class LpBackend(Protocol):
         system,
         config: "LpConfig | None" = None,
         separation: "tuple[np.ndarray, np.ndarray] | None" = None,
-        assembler: "object | None" = None,
     ) -> "GeneratorCandidate":
         """Fit template coefficients to the point cloud (may raise
-        :class:`~repro.errors.InfeasibleLPError`).
-
-        ``assembler`` (optional) is a per-run
-        :class:`~repro.barrier.lp.LpAssembler` carrying cached
-        constraint rows across counterexample-refinement re-solves; the
-        synthesis loop only passes it to backends whose ``fit``
-        signature accepts the keyword, so implementations may omit it.
-        """
+        :class:`~repro.errors.InfeasibleLPError`)."""
         ...
 
 

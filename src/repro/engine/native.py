@@ -1,11 +1,12 @@
-"""The ``native`` engine: today's scalar code paths, unchanged.
+"""The ``native`` engine: the scalar simulation and SMT code paths.
 
 Each backend is a thin adapter over the pre-engine implementation —
 :class:`~repro.sim.Simulator` per-trace integration, the
 margin-maximizing LP of :func:`repro.barrier.lp.fit_generator`, and the
-serial :func:`repro.smt.check_exists_on_boxes` dispatch — so the default
-engine is bit-identical to the historical behavior (the Table-1 and
-ablation outputs do not move).
+serial :func:`repro.smt.check_exists_on_boxes` dispatch.  The LP backend
+is shared by every builtin engine; it evaluates its Lie-derivative rows
+through :meth:`~repro.dynamics.ContinuousSystem.f_vectorized`, so
+engines differ only in how they simulate and how they decide δ-SAT.
 """
 
 from __future__ import annotations
@@ -54,15 +55,11 @@ class NativeLpBackend:
         system,
         config: LpConfig | None = None,
         separation: "tuple[np.ndarray, np.ndarray] | None" = None,
-        assembler: "object | None" = None,
     ) -> GeneratorCandidate:
         """Fit a generator candidate to trace points via the margin LP."""
         from ..barrier.lp import fit_generator
 
-        return fit_generator(
-            template, points, system, config,
-            separation=separation, assembler=assembler,
-        )
+        return fit_generator(template, points, system, config, separation=separation)
 
 
 class SerialSmtBackend:

@@ -178,6 +178,9 @@ class Scheduler:
         self._heap: list[tuple[int, int, int, _PointTask]] = []
         self._seq = itertools.count()
         self._inflight = 0
+        #: tasks completed so far; lets ``submit`` notice completions
+        #: that raced its store lookups
+        self._completed = 0
         self._stopped = False
         self._retry_timers: "set[threading.Timer]" = set()
 
@@ -299,6 +302,7 @@ class Scheduler:
             for scenario, config, engine in zip(scenarios, configs, engines)
         ]
         hits: "list[RunArtifact | None]" = [None] * len(keys)
+        completed = self._completed
         if self.store is not None:
             for i, key in enumerate(keys):
                 hits[i] = self.store.get(key)
@@ -321,6 +325,13 @@ class Scheduler:
                 raise ReproError("scheduler is shut down")
             if job.id in self._jobs:
                 raise ReproError(f"job id {job.id!r} already exists")
+            if self.store is not None and self._completed != completed:
+                # A task that finished after the lookups above stored its
+                # artifact and left _tasks_by_key: read its key again
+                # instead of dispatching the same computation twice.
+                for i, key in enumerate(keys):
+                    if hits[i] is None and key not in self._tasks_by_key:
+                        hits[i] = self.store.get(key)
             self._jobs[job.id] = job
             if self.journal is not None:
                 self.journal.record_submit(job)
@@ -418,6 +429,7 @@ class Scheduler:
     def _complete_task(self, task: _PointTask, artifact: RunArtifact) -> None:
         with self._cond:
             self._tasks_by_key.pop(task.key, None)
+            self._completed += 1
             if task.running:
                 task.running = False
                 self._inflight -= 1

@@ -76,8 +76,11 @@ STORE_ENV = "REPRO_STORE"
 #: env var opting runs into the cache when no ``cache=`` argument is given
 CACHE_ENV = "REPRO_CACHE"
 
-#: fingerprint schema version (bump on incompatible key changes)
-FINGERPRINT_VERSION = 1
+#: fingerprint schema version: bump on incompatible key changes, and
+#: whenever a fresh solve may produce different artifact bytes (2: the
+#: LP's auxiliary-variable separation rows can move coefficients and
+#: levels in their last bits)
+FINGERPRINT_VERSION = 2
 
 #: ``.tmp`` leftovers older than this are treated as crashed writers'
 #: debris and swept by :meth:`ArtifactStore.collect_garbage` (and by

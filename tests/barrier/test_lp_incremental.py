@@ -1,131 +1,11 @@
-"""Incremental LP assembly: identical coefficients, rows computed once."""
+"""Template feature maps: broadcast rows equal the per-monomial loops."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.barrier.lp import LpAssembler, LpConfig, fit_generator
 from repro.barrier.templates import QuadraticTemplate
-from repro.dynamics import ContinuousSystem
-from repro.errors import LinearProgramError
-from repro.expr import var
-
-
-@pytest.fixture
-def system():
-    x, y = var("x"), var("y")
-    # Stable linear dynamics: every quadratic Lyapunov candidate fits.
-    return ContinuousSystem(["x", "y"], [-x + 0.5 * y, -0.5 * x - y])
-
-
-@pytest.fixture
-def template():
-    return QuadraticTemplate(2)
-
-
-def _cloud(rng, n):
-    return rng.uniform(-2.0, 2.0, (n, 2))
-
-
-class TestIncrementalEqualsScratch:
-    def test_refinement_appends_match_rebuild(self, system, template, rng):
-        """Growing the cloud across calls == rebuilding from scratch.
-
-        This is the counterexample-refinement pattern: iteration 1 fits
-        on the seed points, iteration k appends the new trace's points.
-        The warm assembler serves iteration-1 rows from cache; the
-        coefficients must be bit-identical to a cold fit on the same
-        cloud.
-        """
-        assembler = LpAssembler(template, system)
-        config = LpConfig()
-        seed = _cloud(rng, 120)
-        extra = _cloud(rng, 30)
-
-        warm_first = fit_generator(
-            template, seed, system, config, assembler=assembler
-        )
-        grown = np.vstack([seed, extra])
-        warm_second = fit_generator(
-            template, grown, system, config, assembler=assembler
-        )
-        cold_first = fit_generator(template, seed, system, config)
-        cold_second = fit_generator(template, grown, system, config)
-
-        np.testing.assert_array_equal(
-            warm_first.coefficients, cold_first.coefficients
-        )
-        np.testing.assert_array_equal(
-            warm_second.coefficients, cold_second.coefficients
-        )
-        assert warm_second.margin == cold_second.margin
-
-    def test_with_separation_block(self, system, template, rng):
-        assembler = LpAssembler(template, system)
-        config = LpConfig()
-        separation = (
-            np.array([[0.1, 0.1], [-0.1, 0.1], [0.1, -0.1], [-0.1, -0.1]]),
-            _cloud(rng, 40) + 5.0,
-        )
-        seed = _cloud(rng, 100)
-        grown = np.vstack([seed, _cloud(rng, 25)])
-        warm = [
-            fit_generator(
-                template, pts, system, config,
-                separation=separation, assembler=assembler,
-            )
-            for pts in (seed, grown)
-        ]
-        cold = [
-            fit_generator(template, pts, system, config, separation=separation)
-            for pts in (seed, grown)
-        ]
-        for w, c in zip(warm, cold):
-            np.testing.assert_array_equal(w.coefficients, c.coefficients)
-        # The separation block is cached after the first call.
-        assert len(assembler._separation) == 1
-
-    def test_rows_computed_once_per_point(self, system, template, rng):
-        """Re-fits only evaluate the vector field on never-seen points."""
-        calls: list[int] = []
-        original = system.f_batch
-
-        def counting_f_batch(states):
-            calls.append(len(np.atleast_2d(states)))
-            return original(states)
-
-        system.f_batch = counting_f_batch
-        try:
-            assembler = LpAssembler(template, system)
-            config = LpConfig()
-            seed = _cloud(rng, 80)
-            fit_generator(template, seed, system, config, assembler=assembler)
-            first_total = sum(calls)
-            cached_points = assembler.cached_points
-            assert cached_points > 0
-
-            extra = _cloud(rng, 20)
-            fit_generator(
-                template,
-                np.vstack([seed, extra]),
-                system,
-                config,
-                assembler=assembler,
-            )
-            # Second fit evaluated only the extra points (the seed rows
-            # came from the cache).
-            assert sum(calls) - first_total <= len(extra)
-        finally:
-            system.f_batch = original
-
-    def test_assembler_binding_is_checked(self, system, template, rng):
-        other = QuadraticTemplate(2)
-        assembler = LpAssembler(other, system)
-        with pytest.raises(LinearProgramError):
-            fit_generator(
-                template, _cloud(rng, 30), system, assembler=assembler
-            )
 
 
 class TestFeatureVectorization:

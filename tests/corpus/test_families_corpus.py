@@ -79,14 +79,19 @@ def test_quadrotor_default_is_a_fast_honest_failure():
 
 def test_dubins_nn_logsig_matches_tansig_exactly():
     """2*sigma(2x) - 1 == tanh(x): both activations encode the *same*
-    controller, so the synthesized level must agree bit-for-bit."""
+    controller, so the synthesized level must agree.
+
+    Exactly in the mathematical sense, not bit for bit: the two
+    activations round differently in floating point, and the LP may
+    carry that round-off into the last bits of the level, so the levels
+    are compared within a few ulps."""
     levels = {}
     for activation in ("tansig", "logsig"):
         scenario = get_family("dubins-nn").instantiate(activation=activation)
         artifact = api.run(scenario, engine="batched-icp", cache=False)
         assert artifact.status == "verified"
         levels[activation] = artifact.level
-    assert levels["tansig"] == levels["logsig"]
+    np.testing.assert_array_max_ulp(levels["tansig"], levels["logsig"], maxulp=4)
 
 
 def test_dubins_nn_width_sweep_verifies():

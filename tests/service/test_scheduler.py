@@ -172,6 +172,32 @@ class TestCoalescing:
             gate.set()
             scheduler.shutdown(wait=True)
 
+    def test_completion_racing_the_store_lookup_does_not_redispatch(
+        self, store, monkeypatch
+    ):
+        """A task that finishes after a submit's store lookup missed, but
+        before the submit takes the lock, is read back from the store."""
+        scheduler = make_scheduler(store)
+        try:
+            first = scheduler.submit({"target": "linear", "grid": GRID})
+            submitter = threading.get_ident()
+            real_get = store.get
+
+            def stale_get(key):
+                if threading.get_ident() != submitter:
+                    return real_get(key)  # the workers' own lookups
+                monkeypatch.setattr(store, "get", real_get)
+                wait_terminal(scheduler, first.id)
+                return None
+
+            monkeypatch.setattr(store, "get", stale_get)
+            second = scheduler.submit({"target": "linear", "grid": GRID})
+            assert second.dispatched == 0
+            assert second.cached_points == 3
+            assert second.state is JobState.DONE
+        finally:
+            scheduler.shutdown(wait=True)
+
     def test_priority_orders_the_queue(self, store, gate):
         scheduler = make_scheduler(store, workers=1)
         try:
