@@ -79,8 +79,11 @@ CACHE_ENV = "REPRO_CACHE"
 #: fingerprint schema version: bump on incompatible key changes, and
 #: whenever a fresh solve may produce different artifact bytes (2: the
 #: LP's auxiliary-variable separation rows can move coefficients and
-#: levels in their last bits)
-FINGERPRINT_VERSION = 2
+#: levels in their last bits; 3: so can solving the LP by row
+#: generation, within HiGHS's 1e-7 feasibility tolerance: ~1e-14 on the
+#: coefficients of most fits, 6e-8 where the full solve's optimum sat
+#: slightly outside a row)
+FINGERPRINT_VERSION = 3
 
 #: ``.tmp`` leftovers older than this are treated as crashed writers'
 #: debris and swept by :meth:`ArtifactStore.collect_garbage` (and by

@@ -13,6 +13,7 @@ import pytest
 from scipy.optimize import linprog
 
 import repro.barrier.lp as lp_module
+from repro.api import get_scenario
 from repro.barrier import (
     LpConfig,
     QuadraticTemplate,
@@ -21,8 +22,12 @@ from repro.barrier import (
     fit_generator,
     level_bounds,
 )
-from repro.barrier.synthesis import _unsafe_boundary_samples
-from repro.dynamics import ContinuousSystem, error_dynamics_system
+from repro.barrier.synthesis import _unsafe_boundary_samples, verify_system
+from repro.dynamics import (
+    ContinuousSystem,
+    error_dynamics_system,
+    stable_linear_system,
+)
 from repro.errors import InfeasibleLPError
 from repro.expr import var
 from repro.experiments import paper_initial_set, paper_unsafe_set
@@ -174,20 +179,122 @@ class TestAuxiliarySeparation:
         # The separation rows bind: they cost margin.
         assert candidate.margin < 0.9 * fit_generator(tmpl, points, system).margin
 
-    def test_row_count_is_linear(self, cloud_4d, monkeypatch):
+    def test_row_count_is_linear(self, cloud_4d, solves, monkeypatch):
         system, points, inner, boundary = cloud_4d
-        shapes = []
+        subsets = []
 
         def recording_linprog(*args, **kwargs):
-            shapes.append(kwargs["A_ub"].shape)
+            subsets.append(kwargs["A_ub"])
             return linprog(*args, **kwargs)
 
         monkeypatch.setattr(lp_module, "linprog", recording_linprog)
         tmpl = QuadraticTemplate(4)
         fit_generator(tmpl, points, system, separation=(inner, boundary))
         m, v, s = len(points), len(inner), len(boundary)
+        (solve,) = solves
         # Columns: k coefficients, the margin t, the auxiliaries a and b.
-        assert shapes == [(2 * m + v + s + 1, tmpl.basis_size + 3)]
+        assert solve.a_ub.shape == (2 * m + v + s + 1, tmpl.basis_size + 3)
+        full_rows = {row.tobytes() for row in solve.a_ub}
+        assert subsets
+        for subset in subsets:
+            assert len(subset) < len(solve.a_ub)
+            assert {row.tobytes() for row in subset} <= full_rows
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Each full system handed to the row-generation solve, with its result."""
+    records = []
+    solve = lp_module._solve_by_row_generation
+
+    def recording(cost, a_ub, bounds, min_margin):
+        outcome = solve(cost, a_ub, bounds, min_margin)
+        records.append(SimpleNamespace(cost=cost, a_ub=a_ub, bounds=bounds, outcome=outcome))
+        return outcome
+
+    monkeypatch.setattr(lp_module, "_solve_by_row_generation", recording)
+    return records
+
+
+def _full_solve(solve):
+    """The reference: one ``linprog`` call over every row of the system."""
+    outcome = linprog(
+        solve.cost, A_ub=solve.a_ub, b_ub=np.zeros(len(solve.a_ub)),
+        bounds=solve.bounds, method="highs",
+    )
+    assert outcome.success, outcome.message
+    return outcome
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.fixture(scope="module")
+def dubins_lp():
+    """The first LP of the builtin ``dubins`` scenario, as ``fit_generator``
+    receives it: ``(args, kwargs)``."""
+    captured = []
+
+    def capture(*args, **kwargs):
+        captured.append((args, kwargs))
+        raise _Captured
+
+    scenario = get_scenario("dubins")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_module, "fit_generator", capture)
+        with pytest.raises(_Captured):
+            verify_system(scenario.problem(), config=scenario.config)
+    return captured[0]
+
+
+class TestRowGeneration:
+    """Row generation returns the optimum of the full system."""
+
+    @pytest.fixture(params=["paper", "cloud-4d", "dubins"])
+    def fit(self, request, solves):
+        """Run one ``fit_generator`` call; returns its candidate."""
+        if request.param == "paper":
+            system, points, x0, _, boundary = request.getfixturevalue("setup")
+            args = (QuadraticTemplate(2), points, system)
+            kwargs = {"separation": (x0.vertices(), boundary)}
+        elif request.param == "cloud-4d":
+            system, points, inner, boundary = request.getfixturevalue("cloud_4d")
+            args = (QuadraticTemplate(4), points, system)
+            kwargs = {"separation": (inner, boundary)}
+        else:
+            args, kwargs = request.getfixturevalue("dubins_lp")
+        return fit_generator(*args, **kwargs)
+
+    def test_matches_full_solve(self, solves, fit):
+        (solve,) = solves
+        full = _full_solve(solve)
+        k = fit.template.basis_size
+        assert fit.margin == pytest.approx(full.x[k], rel=1e-9)
+        np.testing.assert_allclose(fit.coefficients, full.x[:k], rtol=0, atol=1e-9)
+
+    def test_solution_satisfies_every_row(self, solves, fit):
+        (solve,) = solves
+        assert (solve.a_ub @ solve.outcome.x).max() <= 1e-7
+
+    def test_unstable_system_infeasible(self, rng, solves):
+        unstable = stable_linear_system(np.array([[0.5, 0.0], [0.0, 0.3]]))
+        points = rng.uniform(-2.0, 2.0, size=(300, 2))
+        with pytest.raises(InfeasibleLPError):
+            fit_generator(QuadraticTemplate(2), points, unstable)
+        (solve,) = solves
+        assert -_full_solve(solve).fun < LpConfig().min_margin
+
+    def test_impossible_separation_infeasible(self, setup, solves):
+        system, points, _, _, boundary = setup
+        config = LpConfig(min_margin=1e-6)
+        with pytest.raises(InfeasibleLPError):
+            fit_generator(
+                QuadraticTemplate(2), points, system, config,
+                separation=(boundary, boundary),
+            )
+        (solve,) = solves
+        assert -_full_solve(solve).fun < config.min_margin
 
 
 @pytest.mark.parametrize("dimension, per_edge", [(2, 8), (3, 5), (4, 8)])

@@ -56,7 +56,7 @@ def test_stress_families_are_marked():
         ("unicycle", 0.3713608146735929),
         ("dubins-nn", 1.392972723648998),
         ("vanderpol", 0.31978277489787965),
-        ("double-integrator", 0.9701283310084667),
+        ("double-integrator", 0.9701283987097021),
     ],
 )
 def test_default_points_verify(name, level):
