@@ -400,13 +400,20 @@ class _DomainExit:
 
     def __init__(self, rectangle: Rectangle):
         self._rectangle = rectangle
+        self._lower = rectangle.lower
+        self._upper = rectangle.upper
 
     def __call__(self, state: np.ndarray) -> bool:
         return not self._rectangle.contains(state)
 
     def batch(self, states: np.ndarray) -> np.ndarray:
-        """Row-wise stop mask, identical to mapping ``__call__``."""
-        return ~self._rectangle.contains_batch(states)
+        """Row-wise stop mask, identical to mapping ``__call__``.
+
+        :meth:`Rectangle.contains_batch` without its argument coercion
+        and per-call ``bound ± tol`` arrays: the bounds are the
+        rectangle's own (``tol = 0``).
+        """
+        return ~((states >= self._lower) & (states <= self._upper)).all(axis=1)
 
 
 def _try_lyapunov_candidate(

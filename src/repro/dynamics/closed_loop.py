@@ -10,7 +10,7 @@ the barrier machinery verifies.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,10 +21,11 @@ from ..expr import (
     substitute,
     var,
 )
+from ..expr.codegen import SourceBuilder
 from ..nn import FeedforwardNetwork
 from .system import ContinuousSystem
 
-__all__ = ["Plant", "compose"]
+__all__ = ["Plant", "closed_loop_field", "compose"]
 
 
 class Plant:
@@ -93,15 +94,64 @@ class Plant:
         )
 
 
+def _plant_tapes(plant: Plant) -> tuple[list, list]:
+    """Compiled output tapes over ``x`` and field tapes over ``x | u``."""
+    output_tapes = [
+        compile_expression(expr, plant.state_names) for expr in plant.output_exprs
+    ]
+    extended_names = plant.state_names + plant.input_names
+    field_tapes = [
+        compile_expression(expr, extended_names) for expr in plant.field_exprs
+    ]
+    return output_tapes, field_tapes
+
+
+def closed_loop_field(
+    plant: Plant, network: FeedforwardNetwork
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Generated batch field ``F(X)`` of the loop ``x' = f_p(x, h(g(x)))``.
+
+    One straight-line function (:class:`~repro.expr.codegen.SourceBuilder`)
+    emits, in order: the output tapes ``g`` over ``X`` (skipped for
+    full-state output, which reads ``X`` itself); each network layer
+    inline as ``act(h @ W.T + b)`` — :meth:`FeedforwardNetwork.forward`'s
+    own expression, reading the layer's current parameters; then the
+    plant tapes over the columns of ``X | u``.  Every intermediate array
+    has the layout the step-by-step evaluation gave it (``y`` and
+    ``X | u`` are C-contiguous), so the result is bit-identical to
+    evaluating the tapes and calling ``forward`` one after the other.
+    """
+    builder = SourceBuilder()
+    output_tapes, field_tapes = _plant_tapes(plant)
+    full_state = len(output_tapes) == plant.state_dimension and all(
+        tape.instructions == (("var", 0, i),) for i, tape in enumerate(output_tapes)
+    )
+    if full_state:
+        h = builder.assign("ascontiguousarray(X)", prefix="h")
+    else:
+        h = builder.stack([builder.tape(tape) for tape in output_tapes])
+    for layer in network.layers:
+        name = builder.bind(layer, prefix="layer")
+        h = builder.assign(
+            f"{name}.activation.numeric({h} @ {name}.weights.T + {name}.biases)",
+            prefix="h",
+        )
+    extended = builder.assign(f"concatenate((X, {h}), axis=1)", prefix="e")
+    return builder.build(
+        builder.stack([builder.tape(tape, extended) for tape in field_tapes])
+    )
+
+
 def compose(plant: Plant, network: FeedforwardNetwork, name: str | None = None) -> ContinuousSystem:
     """Close the loop: substitute ``u = h(g(x))`` into the plant field.
 
-    Returns the autonomous :class:`ContinuousSystem` of Eq. (4).  The
-    numeric override evaluates ``g`` through compiled tapes, runs the
-    network's matrix forward pass, and feeds the result to the plant
-    field tapes — avoiding the symbolic expression on the hot path while
-    the symbolic field (used by the solver) contains the exact same
-    composition.
+    Returns the autonomous :class:`ContinuousSystem` of Eq. (4).  Its
+    batch field is :func:`closed_loop_field`: the plant tapes and the
+    network's matrix forward pass in one generated function, avoiding
+    the symbolic expression on the hot path while the symbolic field
+    (used by the solver) contains the exact same composition.  The
+    scalar override runs the same pipeline through the tapes and
+    :meth:`FeedforwardNetwork.forward`.
     """
     if network.input_dimension != plant.output_dimension:
         raise ReproError(
@@ -118,14 +168,7 @@ def compose(plant: Plant, network: FeedforwardNetwork, name: str | None = None) 
     bindings = dict(zip(plant.input_names, u_exprs))
     closed_exprs = [substitute(expr, bindings) for expr in plant.field_exprs]
 
-    # Numeric fast path: tapes for g and for f_p over (states + inputs).
-    output_tapes = [
-        compile_expression(expr, plant.state_names) for expr in plant.output_exprs
-    ]
-    extended_names = plant.state_names + plant.input_names
-    field_tapes = [
-        compile_expression(expr, extended_names) for expr in plant.field_exprs
-    ]
+    output_tapes, field_tapes = _plant_tapes(plant)
 
     def numeric(x: np.ndarray) -> np.ndarray:
         point = x[None, :]
@@ -134,18 +177,10 @@ def compose(plant: Plant, network: FeedforwardNetwork, name: str | None = None) 
         extended = np.concatenate([x, u])[None, :]
         return np.array([float(t.eval_points(extended)[0]) for t in field_tapes])
 
-    def numeric_batch(states: np.ndarray) -> np.ndarray:
-        # Same pipeline, one array pass per tape: y for all states, one
-        # matrix forward pass, then the plant field on (states | u).
-        y = np.stack([t.eval_points(states) for t in output_tapes], axis=1)
-        u = np.atleast_2d(network.forward(y))
-        extended = np.hstack([states, u])
-        return np.stack([t.eval_points(extended) for t in field_tapes], axis=1)
-
     return ContinuousSystem(
         state_names=plant.state_names,
         field_exprs=closed_exprs,
         numeric_override=numeric,
-        numeric_batch_override=numeric_batch,
+        numeric_batch_override=closed_loop_field(plant, network),
         name=name or f"{plant.name}+nn",
     )

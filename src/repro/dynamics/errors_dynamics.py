@@ -24,6 +24,7 @@ import numpy as np
 from ..errors import ReproError
 from ..expr import Expr, cos, sin, var
 from ..nn import FeedforwardNetwork
+from .closed_loop import Plant, closed_loop_field
 from .system import ContinuousSystem
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "error_field_exprs",
     "error_dynamics_system",
     "numeric_error_field",
-    "numeric_error_field_batch",
 ]
 
 #: State variable names of the reduced model, in order.
@@ -78,28 +78,6 @@ def numeric_error_field(
     return field
 
 
-def numeric_error_field_batch(
-    network: FeedforwardNetwork, speed: float = 1.0
-) -> "callable":
-    """Batched ``F(X) -> X_dot`` over ``(m, 2)`` state arrays.
-
-    One matrix forward pass through the network covers every state, so
-    the vectorized simulation engine pays Python overhead per *step*
-    instead of per (step, trace) pair.
-    """
-    if network.input_dimension != 2 or network.output_dimension != 1:
-        raise ReproError(
-            "the error-dynamics controller must map 2 inputs to 1 output, got "
-            f"{network.input_dimension} -> {network.output_dimension}"
-        )
-
-    def field_batch(states: np.ndarray) -> np.ndarray:
-        u = network.forward(states)[:, 0]
-        return np.stack([speed * np.sin(states[:, 1]), -u], axis=1)
-
-    return field_batch
-
-
 def error_dynamics_system(
     network: FeedforwardNetwork,
     speed: float = 1.0,
@@ -109,17 +87,25 @@ def error_dynamics_system(
     """The paper's closed-loop verification model.
 
     The symbolic field embeds the network's symbolic output (what the
-    SMT solver sees); the numeric override calls the network's matrix
-    forward pass (what the simulator integrates).  These agree to float
+    SMT solver sees); the numeric overrides call the network's matrix
+    forward pass (what the simulator integrates) — the batch one through
+    :func:`~repro.dynamics.closed_loop.closed_loop_field` over the
+    simplified field with ``u`` left open.  These agree to float
     round-off — a property test asserts it.
     """
     inputs = [var("derr"), var("thetaerr")]
     u_expr = network.symbolic_outputs(inputs)[0]
     exprs = error_field_exprs(u_expr, speed=speed, theta_r=theta_r, simplified=simplified)
+    numeric = numeric_error_field(network, speed)  # checks the 2 -> 1 shape first
+    plant = Plant(
+        state_names=list(STATE_NAMES),
+        input_names=["u"],
+        field_exprs=error_field_exprs(var("u"), speed=speed),
+    )
     return ContinuousSystem(
         state_names=list(STATE_NAMES),
         field_exprs=exprs,
-        numeric_override=numeric_error_field(network, speed),
-        numeric_batch_override=numeric_error_field_batch(network, speed),
+        numeric_override=numeric,
+        numeric_batch_override=closed_loop_field(plant, network),
         name=f"dubins-error-dynamics-Nh{network.hidden_sizes or [0]}",
     )

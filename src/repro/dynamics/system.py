@@ -2,11 +2,11 @@
 
 A :class:`ContinuousSystem` owns the *symbolic* vector field (what the
 SMT queries reason about) and derives from it a *numeric* callable for
-simulation.  When a faster hand-written numeric implementation exists
-(e.g. calling the NN's matrix forward pass instead of walking its
-expression), it can be supplied as ``numeric_override`` — the test suite
-cross-checks the two, mirroring the paper's assumption that simulation
-is an approximation of the verified semantics.
+simulation.  When a faster numeric implementation exists (e.g. calling
+the NN's matrix forward pass instead of walking its expression), it can
+be supplied as ``numeric_override`` / ``numeric_batch_override`` — the
+test suite cross-checks the two, mirroring the paper's assumption that
+simulation is an approximation of the verified semantics.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import ReproError
+from ..errors import EvaluationError, ReproError
 from ..expr import CompiledExpression, Expr, compile_expression
+from ..expr.codegen import vector_field
 from ..sim import Simulator
 
 __all__ = ["ContinuousSystem"]
@@ -35,10 +36,11 @@ class ContinuousSystem:
         Optional fast ``f(x) -> x_dot``; defaults to evaluating the
         compiled symbolic field.
     numeric_batch_override:
-        Optional fast batch ``F(X) -> X_dot`` over ``(m, n)`` state
-        arrays — the hot path of the vectorized simulation engine.  When
-        absent, :meth:`f_vectorized` falls back to the compiled symbolic
-        tapes, which are themselves vectorized over points.
+        Optional fast batch ``F(X) -> X_dot`` from ``(m, n)`` float
+        state arrays to an ``(m, n)`` float ndarray — the hot path of
+        the vectorized simulation engine, which calls it unchecked.
+        When absent, :meth:`f_vectorized` runs the compiled symbolic
+        tapes through one generated straight-line function.
     name:
         Human-readable label for reports.
     """
@@ -64,6 +66,7 @@ class ContinuousSystem:
         self._numeric_override = numeric_override
         self._numeric_batch_override = numeric_batch_override
         self._tapes: list[CompiledExpression] | None = None
+        self._field: Callable[[np.ndarray], np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Shape
@@ -109,24 +112,48 @@ class ContinuousSystem:
 
         Unlike :meth:`f_batch` — which preserves the historical per-state
         loop over a scalar ``numeric_override`` — this path never drops
-        to a Python loop: it uses ``numeric_batch_override`` when
-        supplied and the vectorized compiled tapes otherwise.  The
+        to a Python loop: it validates ``states`` and calls
+        :meth:`batch_field`.  Without a ``numeric_batch_override`` that
+        is one generated straight-line function over the field tapes,
+        bit-identical to stacking their ``eval_points`` columns.  The
         results agree with :meth:`f_batch` to floating-point round-off
-        (BLAS batch kernels may reorder reductions).  The batch simulator
-        and the LP's Lie-derivative rows use it; the scalar ``native``
-        simulator integrates through :meth:`f` instead.
+        (BLAS batch kernels may reorder reductions).  The LP's
+        Lie-derivative rows use it; the batch simulator calls
+        :meth:`batch_field` directly and the scalar ``native`` simulator
+        integrates through :meth:`f` instead.
         """
         states = np.atleast_2d(np.asarray(states, dtype=float))
+        if states.shape[1] != self.dimension:
+            raise EvaluationError(
+                f"states have {states.shape[1]} columns, expected {self.dimension}"
+            )
+        return np.asarray(self.batch_field()(states), dtype=float)
+
+    def batch_field(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The unchecked batch field ``F(X) -> X_dot`` behind :meth:`f_vectorized`.
+
+        ``numeric_batch_override`` when supplied; otherwise the field
+        tapes compiled once per instance by
+        :func:`repro.expr.codegen.vector_field`.  Callers pass ``(m, n)``
+        float arrays themselves — the batch integrator's hot loop does.
+        """
         if self._numeric_batch_override is not None:
-            return np.asarray(self._numeric_batch_override(states), dtype=float)
-        return np.stack(
-            [tape.eval_points(states) for tape in self.tapes()], axis=1
-        )
+            return self._numeric_batch_override
+        if self._field is None:
+            self._field = vector_field(self.tapes())
+        return self._field
 
     def symbolic_f(self, x: np.ndarray) -> np.ndarray:
         """Vector field evaluated through the symbolic tapes (for cross-checks)."""
         point = np.asarray(x, dtype=float)[None, :]
         return np.array([float(tape.eval_points(point)[0]) for tape in self.tapes()])
+
+    def __getstate__(self) -> dict:
+        # The generated field is exec-compiled and does not pickle; like
+        # a tape's kernel plan it is rebuilt on first use.
+        state = self.__dict__.copy()
+        state["_field"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Simulation

@@ -9,6 +9,15 @@ Python overhead is ``T`` regardless of how many seeds the synthesis
 uses.  On the paper's dubins workload this is the dominant non-SMT cost
 (see ``benchmarks/test_engine_backends.py``).
 
+Each RK stage is one call of the system's batch field
+(:meth:`~repro.dynamics.ContinuousSystem.batch_field`): for the builtin
+systems a generated straight-line NumPy function (see
+:mod:`repro.expr.codegen`), called without per-call argument checks.
+The integrator keeps the live ``(m, n)`` block in hand: while every row
+is alive it writes ``history[k]`` by slice, and the per-row bookkeeping
+(sample counts, truncation flags, the live-row index) runs only on the
+steps where some row stops.
+
 Semantics match the native fixed-step driver: the shared time grid
 (including the final partial step), the blow-up guard, the non-finite
 cutoff, and per-trajectory early stopping all behave identically — only
@@ -35,13 +44,14 @@ __all__ = ["VectorizedSimBackend"]
 def _batch_field(system) -> Callable[[np.ndarray], np.ndarray]:
     """Best batched ``F(X) -> X_dot`` for a system, ``(m, n) -> (m, n)``.
 
-    Prefers :meth:`~repro.dynamics.ContinuousSystem.f_vectorized` (a
-    dedicated batch override or the vectorized compiled tapes); any
-    system-like object exposing only ``f_batch`` still works.
+    Prefers :meth:`~repro.dynamics.ContinuousSystem.batch_field` (a
+    dedicated batch override or the generated straight-line field,
+    without per-call argument checks); any system-like object exposing
+    only ``f_batch`` still works.
     """
-    fast = getattr(system, "f_vectorized", None)
-    if fast is not None:
-        return fast
+    batch_field = getattr(system, "batch_field", None)
+    if batch_field is not None:
+        return batch_field()
     return system.f_batch
 
 
@@ -95,44 +105,31 @@ class VectorizedSimBackend:
 
         history = np.empty((total_steps + 1, m, n))
         history[0] = x0s
-        #: samples recorded per trajectory (initial state included)
-        counts = np.full(m, 1, dtype=int)
+        #: samples recorded per trajectory (initial state included);
+        #: rows that run to the end keep the full count
+        counts = np.full(m, total_steps + 1, dtype=int)
         truncated = np.zeros(m, dtype=bool)
+        #: the live block and the history rows it belongs to
+        states = history[0]
         active = np.arange(m)
 
         for k, h in enumerate(steps, start=1):
-            new_states = stepper(field, history[k - 1, active], float(h))
-            history[k, active] = new_states
-
-            finite = np.isfinite(new_states).all(axis=1)
-            keep = finite.copy()
-            # Non-finite states are dropped (native: break before append);
-            # blow-ups and stop events keep the final sample.
-            recorded = finite.copy()
-            if self.blowup_norm is not None:
-                blown = finite & (
-                    np.linalg.norm(new_states, axis=1) > self.blowup_norm
-                )
-                keep &= ~blown
-            if stop_condition is not None:
-                batch_stop = getattr(stop_condition, "batch", None)
-                if batch_stop is not None:
-                    # Vector-aware condition (e.g. the synthesis loop's
-                    # domain-exit test): one array pass for the whole
-                    # block, masked to the rows a scalar loop would
-                    # have consulted.
-                    stopped = keep & np.asarray(batch_stop(new_states), dtype=bool)
-                else:
-                    stopped = np.array(
-                        [
-                            bool(stop_condition(state)) if alive else False
-                            for state, alive in zip(new_states, keep)
-                        ]
-                    )
-                keep &= ~stopped
-            counts[active[recorded]] = k + 1
-            truncated[active[~keep]] = True
+            states = stepper(field, states, float(h))
+            if len(active) == m:
+                history[k] = states
+            else:
+                history[k, active] = states
+            finite, keep = self._survivors(states, stop_condition)
+            if keep.all():
+                continue
+            # Some rows stop at step k.  Non-finite states are dropped
+            # (native: break before append); blow-ups and stop events
+            # keep the final sample.
+            stopped = ~keep
+            counts[active[stopped]] = np.where(finite[stopped], k + 1, k)
+            truncated[active[stopped]] = True
             active = active[keep]
+            states = states[keep]
             if active.size == 0:
                 break
 
@@ -145,3 +142,30 @@ class VectorizedSimBackend:
             )
             for i in range(m)
         ]
+
+    def _survivors(
+        self, states: np.ndarray, stop_condition
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Row masks ``(finite, keep)`` after one step of the live block."""
+        finite = np.isfinite(states).all(axis=1)
+        keep = finite.copy()
+        if self.blowup_norm is not None:
+            # np.linalg.norm(states, axis=1), without its dispatch
+            norms = np.sqrt(np.add.reduce(states * states, axis=1))
+            keep &= ~(norms > self.blowup_norm)
+        if stop_condition is not None:
+            batch_stop = getattr(stop_condition, "batch", None)
+            if batch_stop is not None:
+                # Vector-aware condition (e.g. the synthesis loop's
+                # domain-exit test): one array pass for the whole block
+                # instead of one call per live row.
+                keep &= ~np.asarray(batch_stop(states), dtype=bool)
+            else:
+                keep &= ~np.array(
+                    [
+                        bool(stop_condition(state)) if alive else False
+                        for state, alive in zip(states, keep)
+                    ],
+                    dtype=bool,
+                )
+        return finite, keep

@@ -76,6 +76,13 @@ class Expr:
         """Child nodes in positional order."""
         return tuple(getattr(self, slot) for slot in self._child_slots)
 
+    def __setstate__(self, state: tuple) -> None:
+        # Unpickling would otherwise restore the slots through the
+        # immutability guard below; the pickled form is unchanged.
+        _, slots = state
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
+
     # ------------------------------------------------------------------
     # Operator overloading
     # ------------------------------------------------------------------

@@ -5,8 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.barrier import LpConfig, QuadraticTemplate, fit_generator, points_from_traces
+from repro.barrier.lp import _unique_rows
 from repro.dynamics import stable_linear_system
 from repro.errors import InfeasibleLPError, LinearProgramError
 from repro.sim import Trace
@@ -144,3 +148,47 @@ class TestPointsFromTraces:
     def test_empty_raises(self):
         with pytest.raises(LinearProgramError):
             points_from_traces([])
+
+
+def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+#: few distinct values, so clouds are full of duplicate rows
+_POOL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -1e-13, 1e-13, 3.25])
+
+
+class TestUniqueRows:
+    """The LP's row dedupe returns ``np.unique(axis=0)``'s array, row for row."""
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(0, 80), st.integers(1, 4)),
+            elements=_POOL,
+        )
+    )
+    def test_matches_np_unique_on_duplicate_heavy_clouds(self, points):
+        points = np.round(points, decimals=12)
+        assert _bitwise_equal(_unique_rows(points), np.unique(points, axis=0))
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(0, 80), st.integers(1, 3)),
+            elements=st.sampled_from([1.0, -1.0, 0.5, 2.0, 3.25]),
+        )
+    )
+    def test_matches_without_zeros(self, points):
+        assert _bitwise_equal(_unique_rows(points), np.unique(points, axis=0))
+
+    def test_signed_zero_groups_keep_np_unique_representative(self, rng):
+        rows = rng.choice([0.0, -0.0, 1.0], size=(200, 2))
+        assert _bitwise_equal(_unique_rows(rows), np.unique(rows, axis=0))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_large_trace_like_cloud(self, rng, zero):
+        points = np.round(rng.normal(size=(6000, 2)), decimals=12)
+        on_axis = np.column_stack([points[:5, 0], np.full(5, zero)])
+        points = np.vstack([points, points[:700], on_axis, on_axis + 0.0])
+        assert _bitwise_equal(_unique_rows(points), np.unique(points, axis=0))

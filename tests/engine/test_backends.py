@@ -198,3 +198,113 @@ class TestNativeLp:
         via_backend = NativeLpBackend().fit(template, points, system)
         np.testing.assert_allclose(direct.coefficients, via_backend.coefficients)
         assert direct.margin == via_backend.margin
+
+
+class _ExitAbove:
+    """Stop once coordinate ``index`` exceeds ``bound``; per-state and batch."""
+
+    def __init__(self, index: int, bound: float):
+        self.index, self.bound = index, bound
+
+    def __call__(self, state):
+        return bool(state[self.index] > self.bound)
+
+    def batch(self, states):
+        return states[:, self.index] > self.bound
+
+
+class TestVectorizedBookkeeping:
+    """Rows that stop at different steps keep exact lengths, flags and states.
+
+    States ``(a, d, b, e)``: ``a' = a^2`` blows up from large ``a``;
+    ``d' = -1`` counts down and ``b' = sqrt(d)`` turns NaN once ``d < 0``;
+    ``e' = 1`` leaves the domain ``e <= 1``.  The field uses only
+    correctly rounded arithmetic, so a one-row reference loop must agree
+    with the batch integrator bit for bit.
+    """
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        from repro.dynamics import ContinuousSystem
+        from repro.expr import const, sqrt
+
+        a, d = var("a"), var("d")
+        return ContinuousSystem(
+            ["a", "d", "b", "e"],
+            [a * a, const(-1.0), sqrt(d), const(1.0)],
+            name="stops",
+        )
+
+    #: survivor, blow-up, NaN at step 4, exit at step 5, survivor, NaN at step 2
+    X0 = np.array(
+        [
+            [0.0, 100.0, 0.0, -10.0],
+            [50.0, 100.0, 0.0, -10.0],
+            [0.0, 0.25, 0.0, -10.0],
+            [0.0, 100.0, 0.0, 0.55],
+            [-1.0, 100.0, 0.0, -10.0],
+            [0.0, 0.05, 0.0, -10.0],
+        ]
+    )
+
+    @staticmethod
+    def _reference(system, x0s, duration, dt, method, stop, blowup=1e6):
+        from repro.sim.integrators import euler_step, fixed_step_schedule, rk4_step
+
+        step = {"euler": euler_step, "rk4": rk4_step}[method]
+        times, steps = fixed_step_schedule(duration, dt)
+        traces = []
+        for x0 in x0s:
+            x, states, truncated = x0[None, :], [x0], False
+            for h in steps:
+                x = step(system.f_vectorized, x, h)
+                if not np.isfinite(x).all():
+                    truncated = True
+                    break
+                states.append(x[0])
+                if np.linalg.norm(x[0]) > blowup or (stop is not None and stop(x[0])):
+                    truncated = True
+                    break
+            traces.append((times[: len(states)], np.array(states), truncated))
+        return traces
+
+    def _assert_exact(self, got, expected):
+        assert len(got) == len(expected)
+        for trace, (times, states, truncated) in zip(got, expected):
+            assert trace.truncated is truncated
+            assert np.array_equal(trace.times, times)
+            assert np.array_equal(trace.states, states)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("batch_stop", [True, False], ids=["batch-stop", "scalar-stop"])
+    def test_rows_stopping_at_different_steps(self, system, method, batch_stop):
+        stop = _ExitAbove(3, 1.0)
+        if not batch_stop:
+            stop = stop.__call__
+        with np.errstate(invalid="ignore"):
+            got = VectorizedSimBackend().simulate(
+                system, self.X0, 3.0, 0.1, method=method, stop_condition=stop
+            )
+            expected = self._reference(system, self.X0, 3.0, 0.1, method, stop)
+        self._assert_exact(got, expected)
+        assert [t.truncated for t in got] == [False, True, True, True, False, True]
+        assert len(got[0]) == len(got[4]) == 31
+        assert np.linalg.norm(got[1].states[-1]) > 1e6
+        assert all(np.isfinite(t.states).all() for t in got)
+        if method == "euler":
+            assert [len(t) for t in got[2:4]] + [len(got[5])] == [4, 6, 2]
+
+    def test_all_rows_survive(self, system):
+        x0s = self.X0[[0, 4]]
+        got = VectorizedSimBackend().simulate(
+            system, x0s, 2.0, 0.1, stop_condition=_ExitAbove(3, 1.0)
+        )
+        self._assert_exact(
+            got, self._reference(system, x0s, 2.0, 0.1, "rk4", _ExitAbove(3, 1.0))
+        )
+        assert [len(t) for t in got] == [21, 21]
+
+    def test_zero_duration_keeps_initial_states(self, system):
+        got = VectorizedSimBackend().simulate(system, self.X0, 0.0, 0.1)
+        assert all(len(t) == 1 and not t.truncated for t in got)
+        assert np.array_equal(np.vstack([t.states for t in got]), self.X0)
