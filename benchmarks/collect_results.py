@@ -50,9 +50,6 @@ def collect(results_dir: Path = RESULTS_DIR) -> dict:
         "smt_stage_batched_speedup": _dig(
             benchmarks, "icp", "smt_stage", "speedup"
         ),
-        "smt_shard4_speedup": _dig(
-            benchmarks, "shard", "best", "speedup_4"
-        ),
         "sweep_cold_scenarios_per_minute": _dig(
             benchmarks, "sweep", "cold", "scenarios_per_minute"
         ),
@@ -73,9 +70,6 @@ def collect(results_dir: Path = RESULTS_DIR) -> dict:
         ),
         "seam_overhead_factor": _dig(
             benchmarks, "resilience", "seam_overhead", "overhead_factor"
-        ),
-        "supervisor_recovery_latency_s": _dig(
-            benchmarks, "resilience", "recovery_latency", "recovery_latency_s"
         ),
     }
     return {

@@ -1,12 +1,10 @@
-"""Engine-backend benchmark: native vs vectorized seed-sim, serial vs
-parallel SMT, on the paper's dubins workload.
+"""Engine-backend benchmark: native vs ``batched-icp`` seed-sim on the
+paper's dubins workload.
 
-Writes ``benchmarks/results/BENCH_engines.json`` — the seed of the
-engine-layer perf trajectory — alongside the human-readable text
-artifact.  The vectorized simulator must beat the native per-trace loop
-by >= 3x (the PR-2 acceptance bar); the SMT comparison is recorded
-without a bar since thread-level speedup depends on the host's core
-count (a single-core CI box will show ~1x).
+Writes ``benchmarks/results/BENCH_engines.json`` alongside the
+human-readable text artifact.  The batch simulator must beat the native
+per-trace loop by >= 3x.  Condition-(5) SMT timing lives in
+``test_icp_micro.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import time
 import numpy as np
 
 from repro.api import get_scenario
-from repro.barrier import QuadraticTemplate, condition5_subproblems
 from repro.engine import get_engine
 from repro.sim import sample_uniform
 
@@ -41,54 +38,26 @@ def _best_of(repeats, fn):
 
 
 def test_engine_backends(emit, results_dir):
-    scenario = get_scenario("dubins")
-    problem = scenario.problem()
+    problem = get_scenario("dubins").problem()
     system = problem.system
     rng = np.random.default_rng(0)
     starts = sample_uniform(problem.domain.to_box(), TRACES, rng)
 
     native = get_engine("native")
-    vectorized = get_engine("vectorized")
-    parallel = get_engine("parallel-smt")
+    batched = get_engine("batched-icp")
 
-    # ------------------------------------------------------------------
-    # Seed-sim stage: per-trace Python loop vs one array pass.
-    # ------------------------------------------------------------------
     native_sim_s, native_traces = _best_of(
         REPEATS,
         lambda: native.sim.simulate(system, starts, DURATION, DT),
     )
     vector_sim_s, vector_traces = _best_of(
         REPEATS,
-        lambda: vectorized.sim.simulate(system, starts, DURATION, DT),
+        lambda: batched.sim.simulate(system, starts, DURATION, DT),
     )
     assert len(native_traces) == len(vector_traces) == TRACES
     for a, b in zip(native_traces[:10], vector_traces[:10]):
         np.testing.assert_allclose(a.states, b.states, atol=1e-8)
     sim_speedup = native_sim_s / vector_sim_s
-
-    # ------------------------------------------------------------------
-    # SMT check (5): serial vs thread-pool dispatch over the box cover.
-    # ------------------------------------------------------------------
-    candidate = native.lp.fit(
-        QuadraticTemplate(system.dimension),
-        np.vstack([t.states for t in native_traces]),
-        system,
-        scenario.config.lp,
-    )
-    subproblems = condition5_subproblems(
-        candidate.expression, problem, scenario.config.gamma
-    )
-    names = problem.state_names
-    icp = scenario.config.icp
-    serial_smt_s, serial_result = _best_of(
-        REPEATS, lambda: native.smt.check(subproblems, names, icp)
-    )
-    parallel_smt_s, parallel_result = _best_of(
-        REPEATS, lambda: parallel.smt.check(subproblems, names, icp)
-    )
-    assert serial_result.verdict is parallel_result.verdict
-    smt_speedup = serial_smt_s / parallel_smt_s
 
     payload = {
         "scenario": "dubins",
@@ -100,13 +69,6 @@ def test_engine_backends(emit, results_dir):
             "vectorized_seconds": round(vector_sim_s, 6),
             "speedup": round(sim_speedup, 2),
         },
-        "smt_check5": {
-            "subproblems": len(subproblems),
-            "verdict": serial_result.verdict.value,
-            "serial_seconds": round(serial_smt_s, 6),
-            "parallel_seconds": round(parallel_smt_s, 6),
-            "speedup": round(smt_speedup, 2),
-        },
     }
     (results_dir / "BENCH_engines.json").write_text(
         json.dumps(payload, indent=2) + "\n"
@@ -114,15 +76,11 @@ def test_engine_backends(emit, results_dir):
 
     lines = [
         f"seed-sim ({TRACES} traces x {payload['seed_sim']['steps_per_trace']} steps):",
-        f"  native     {native_sim_s:8.4f}s",
-        f"  vectorized {vector_sim_s:8.4f}s   ({sim_speedup:.1f}x)",
-        f"smt check(5) ({len(subproblems)} subproblems, {serial_result.verdict.value}):",
-        f"  serial     {serial_smt_s:8.4f}s",
-        f"  parallel   {parallel_smt_s:8.4f}s   ({smt_speedup:.1f}x, "
-        f"{os.cpu_count()} cpu)",
+        f"  native       {native_sim_s:8.4f}s",
+        f"  batched-icp  {vector_sim_s:8.4f}s   ({sim_speedup:.1f}x)",
     ]
     emit("engine_backends", "\n".join(lines))
 
     assert sim_speedup >= 3.0, (
-        f"vectorized seed-sim speedup {sim_speedup:.2f}x below the 3x bar"
+        f"batched-icp seed-sim speedup {sim_speedup:.2f}x below the 3x bar"
     )

@@ -1,15 +1,15 @@
-"""Resilience benchmark: seam overhead and supervisor recovery latency.
+"""Resilience benchmark: the fault-free cost of the fault-injection seams.
 
-Two numbers keep the resilience layer honest:
-
-* **fault-free seam overhead** — the dubins end-to-end verify with the
-  seams wired in but no plan installed (the production state) must cost
-  at most ``MAX_SEAM_OVERHEAD``× a run with the seam registry bypassed.
-  The seams' fast path is one attribute read + ``None`` check; if that
-  ever stops being true, this bar catches it.
-* **supervisor recovery latency** — wall-clock cost of one injected
-  shard-worker kill: detection (round deadline), team respawn, and the
-  replayed round, measured as faulted-run minus baseline-run seconds.
+The dubins end-to-end verify runs through an artifact store, so it
+crosses real seams (``store.read``/``store.write``).  With no plan
+installed (the production state) each seam costs one
+:func:`repro.resilience.faults.fire` fast path: an attribute read and a
+``None`` check.  The gate counts the seam hits of one run (an
+action-free plan counts without firing anything), times the fast path
+with ``timeit``, and requires ``hits × fast-path cost`` to stay within
+``MAX_SEAM_OVERHEAD - 1`` of the run's wall clock.  Timing the run
+twice — seams on vs. bypassed — cannot resolve a cost this small
+against run-to-run noise, so the bound is computed instead.
 
 Writes ``benchmarks/results/BENCH_resilience.json``.
 """
@@ -18,22 +18,20 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import time
-
-import pytest
+import timeit
 
 from repro import api
 from repro.api.family import get_family
 from repro.api.runner import derive_scenario_seed
 from repro.resilience import faults
-from repro.resilience.faults import FaultAction, FaultPlan
-from repro.resilience.supervisor import clear_incidents, incidents
+from repro.resilience.faults import FaultPlan
+from repro.store import ArtifactStore
 
 SEED = 0
 #: fault-free runs with seams wired may cost at most this factor
 MAX_SEAM_OVERHEAD = 1.05
-#: timing is noisy; the overhead medians over this many runs
+#: timing is noisy; the run time is the median over this many runs
 OVERHEAD_RUNS = 3
 
 
@@ -45,40 +43,44 @@ def _dubins_setup():
     return scenario, config
 
 
-def _timed_run(scenario, config, engine="batched-icp"):
+def _timed_store_run(scenario, config, root):
+    """One cold run through a fresh store under ``root`` (seams crossed)."""
+    store = ArtifactStore(root)
     t0 = time.perf_counter()
-    artifact = api.run(scenario, config=config, engine=engine, cache=False)
-    return time.perf_counter() - t0, artifact
+    api.run(scenario, config=config, engine="batched-icp", cache=store)
+    return time.perf_counter() - t0
 
 
-def test_fault_free_seam_overhead(emit, results_dir):
+def test_fault_free_seam_overhead(emit, results_dir, tmp_path):
     scenario, config = _dubins_setup()
-    _timed_run(scenario, config)  # warm caches / JIT-ish first-run noise
+    _timed_store_run(scenario, config, tmp_path / "warm")  # first-run noise
 
-    with_seams = []
-    without_seams = []
-    for _ in range(OVERHEAD_RUNS):
-        faults.clear_plan()
-        seconds, _artifact = _timed_run(scenario, config)
-        with_seams.append(seconds)
+    # An action-free plan counts every seam hit and fires nothing.
+    with faults.injected(FaultPlan(())):
+        _timed_store_run(scenario, config, tmp_path / "count")
+        hits = dict(faults._STATE.hits)
+    seam_hits = sum(hits.values())
+    assert seam_hits > 0, "the workload crossed no fault-injection seam"
 
-        # Bypass the registry entirely: fire() short-circuits before
-        # reading any state, approximating un-instrumented hot paths.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(faults, "fire", lambda seam, detail="": None)
-            seconds, _artifact = _timed_run(scenario, config)
-            without_seams.append(seconds)
-
-    with_s = sorted(with_seams)[OVERHEAD_RUNS // 2]
-    without_s = sorted(without_seams)[OVERHEAD_RUNS // 2]
-    overhead = with_s / without_s
+    faults.clear_plan()
+    run_s = sorted(
+        _timed_store_run(scenario, config, tmp_path / f"run{i}")
+        for i in range(OVERHEAD_RUNS)
+    )[OVERHEAD_RUNS // 2]
+    timer = timeit.Timer('fire("store.read")', globals={"fire": faults.fire})
+    calls, _ = timer.autorange()
+    fire_s = min(timer.repeat(repeat=5, number=calls)) / calls
+    seam_s = seam_hits * fire_s
+    overhead = 1.0 + seam_s / run_s
 
     payload = {
-        "benchmark": "fault-free seam overhead (dubins end-to-end)",
+        "benchmark": "fault-free seam overhead (dubins end-to-end, via store)",
         "runs": OVERHEAD_RUNS,
-        "median_with_seams_s": round(with_s, 4),
-        "median_without_seams_s": round(without_s, 4),
-        "overhead_factor": round(overhead, 4),
+        "seam_hits": hits,
+        "fire_fast_path_ns": round(fire_s * 1e9, 1),
+        "median_run_s": round(run_s, 4),
+        "seam_cost_s": seam_s,
+        "overhead_factor": round(overhead, 6),
         "max_overhead_bar": MAX_SEAM_OVERHEAD,
     }
     path = results_dir / "BENCH_resilience.json"
@@ -89,62 +91,15 @@ def test_fault_free_seam_overhead(emit, results_dir):
     emit(
         "resilience_seam_overhead",
         (
-            f"dubins verify, median of {OVERHEAD_RUNS}:\n"
-            f"  seams wired (production)  {with_s:8.3f}s\n"
-            f"  seams bypassed            {without_s:8.3f}s\n"
-            f"  overhead                  {overhead:8.3f}x   "
+            f"dubins verify through a store, median of {OVERHEAD_RUNS}:\n"
+            f"  run                       {run_s:8.3f}s\n"
+            f"  seam hits                 {seam_hits:8d}   {hits}\n"
+            f"  fire() fast path          {fire_s * 1e9:8.1f}ns\n"
+            f"  overhead                  {overhead:8.6f}x   "
             f"(bar {MAX_SEAM_OVERHEAD}x)"
         ),
     )
-    assert overhead <= MAX_SEAM_OVERHEAD, (
-        f"fault-free seam overhead {overhead:.3f}x exceeds the "
+    assert seam_s <= (MAX_SEAM_OVERHEAD - 1.0) * run_s, (
+        f"fault-free seam overhead {overhead:.6f}x exceeds the "
         f"{MAX_SEAM_OVERHEAD}x bar"
-    )
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="sharded engine needs fork")
-def test_supervisor_recovery_latency(emit, results_dir, monkeypatch):
-    monkeypatch.setenv("REPRO_SHARDS", "2")
-    monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "10")
-    scenario = get_family("linear").instantiate()
-    config = dataclasses.replace(
-        scenario.config, seed=derive_scenario_seed(SEED, scenario.name)
-    )
-
-    base_s, baseline = _timed_run(scenario, config, engine="sharded-icp")
-
-    clear_incidents()
-    plan = FaultPlan((FaultAction("shard.worker", "kill", at=0),), label="bench")
-    with faults.injected(plan):
-        t0 = time.perf_counter()
-        faulted = api.run(scenario, config=config, engine="sharded-icp", cache=False)
-        faulted_s = time.perf_counter() - t0
-        fired = faults.fired_faults()
-
-    assert fired, "the injected kill never fired"
-    assert faulted.verified == baseline.verified
-    assert faulted.level == baseline.level
-    recovery_s = max(0.0, faulted_s - base_s)
-    kinds = sorted({e["kind"] for e in incidents()})
-
-    payload = {
-        "benchmark": "shard supervisor recovery latency (linear, 2 shards)",
-        "baseline_s": round(base_s, 4),
-        "faulted_s": round(faulted_s, 4),
-        "recovery_latency_s": round(recovery_s, 4),
-        "incidents": kinds,
-    }
-    path = results_dir / "BENCH_resilience.json"
-    existing = json.loads(path.read_text()) if path.is_file() else {}
-    existing["recovery_latency"] = payload
-    path.write_text(json.dumps(existing, indent=2) + "\n")
-
-    emit(
-        "resilience_recovery_latency",
-        (
-            f"linear verify on sharded-icp (2 shards), one worker killed:\n"
-            f"  fault-free   {base_s:8.3f}s\n"
-            f"  one kill     {faulted_s:8.3f}s\n"
-            f"  recovery     {recovery_s:8.3f}s   incidents: {', '.join(kinds)}"
-        ),
     )

@@ -24,7 +24,7 @@ Subpackages
                      (process-parallel) runners
 ``repro.engine``     pluggable solver stacks: :class:`~repro.engine.Engine`
                      registry bundling sim/LP/SMT backends (``native``,
-                     ``vectorized``, ``parallel-smt``)
+                     ``batched-icp``, ``portfolio``)
 ``repro.expr``       symbolic expressions (eval / intervals / autodiff / tapes)
 ``repro.intervals``  sound interval arithmetic
 ``repro.smt``        branch-and-prune δ-SAT solver (the dReal stand-in)

@@ -25,11 +25,11 @@ Modules
                         hits (:mod:`repro.store`)
 
 The solver-stack registry of :mod:`repro.engine` (``native`` /
-``vectorized`` / ``parallel-smt`` / ``batched-icp``) and the artifact
+``batched-icp`` / ``portfolio``) and the artifact
 store of :mod:`repro.store` are re-exported here so one import serves
 every registry::
 
-    artifact = api.run("dubins", engine="vectorized", cache=True)
+    artifact = api.run("dubins", engine="batched-icp", cache=True)
     report = api.sweep("dubins", grid={"speed": "1:2:3"})
 """
 

@@ -31,7 +31,6 @@ from typing import Sequence
 
 from ..barrier import SynthesisConfig, SynthesisReport
 from ..engine import Engine, resolve_engine
-from ..errors import WorkerDied
 from ..expr import to_infix
 from .pipeline import ProgressCallback, VerificationPipeline
 from .pool import WarmPool
@@ -233,13 +232,13 @@ def run(
     engine_obj = _resolve_run_engine(scenario, effective, engine)
     try:
         return _run_once(scenario, effective, progress, engine_obj, cache)
-    except (WorkerDied, BrokenProcessPool) as exc:
+    except BrokenProcessPool as exc:
         # Degradation ladder: unrecoverable machinery loss re-runs the
-        # request one rung down (sharded-icp/portfolio -> batched-icp ->
-        # native).  Recursing with the fallback *name* makes the
-        # degraded artifact trivially byte-identical to having asked
-        # for that engine — no stitching, no artifact-visible trace;
-        # the step-down is recorded in the incident log only.
+        # request one rung down (portfolio -> batched-icp -> native).
+        # Recursing with the fallback *name* makes the degraded artifact
+        # trivially byte-identical to having asked for that engine — no
+        # stitching, no artifact-visible trace; the step-down is
+        # recorded in the incident log only.
         from ..resilience.ladder import fallback_engine
         from ..resilience.supervisor import record_incident
 
@@ -531,10 +530,10 @@ def resolve_pool_retries(default: int = 2) -> int:
 def _inject_pool_fault(executor) -> None:
     """Fire the ``pool.worker`` seam: signal a real worker of ``executor``.
 
-    Master-side (one deterministic counter, like the shard seam): a
-    ``kill`` SIGKILLs the lowest-pid worker mid-dispatch, a ``hang``
-    SIGSTOPs it — exercising respectively the ``BrokenProcessPool`` and
-    the chunk-deadline recovery paths below.
+    Master-side (one deterministic counter): a ``kill`` SIGKILLs the
+    lowest-pid worker mid-dispatch, a ``hang`` SIGSTOPs it — exercising
+    respectively the ``BrokenProcessPool`` and the chunk-deadline
+    recovery paths below.
     """
     from ..resilience import faults
 

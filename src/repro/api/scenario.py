@@ -265,19 +265,11 @@ def synthesis_config_to_dict(config: SynthesisConfig) -> dict:
 
     An :class:`~repro.engine.Engine` object in ``config.engine`` flattens
     to its registry name (backend objects are not JSON material).
-
-    ``icp.shards`` is dropped: it is an execution-layout knob with no
-    effect on results (the shard-parity gate pins bit-identity), so
-    artifact JSON and store run keys stay shard-invariant.
     """
     engine = config.engine
     if not isinstance(engine, str):
         config = dataclasses.replace(config, engine=getattr(engine, "name", str(engine)))
-    data = dataclasses.asdict(config)
-    icp = data.get("icp")
-    if isinstance(icp, dict):
-        icp.pop("shards", None)
-    return data
+    return dataclasses.asdict(config)
 
 
 def synthesis_config_from_dict(data: dict) -> SynthesisConfig:

@@ -122,8 +122,8 @@ class SynthesisConfig:
     #: simulation-guided LP; falls back silently if it fails check (5)
     try_lyapunov_first: bool = False
     #: solver stack to run on: a registered engine name from
-    #: :mod:`repro.engine` (``"native"``, ``"vectorized"``,
-    #: ``"parallel-smt"``, a user-registered name) or an
+    #: :mod:`repro.engine` (``"native"``, ``"batched-icp"``,
+    #: ``"portfolio"``, a user-registered name) or an
     #: :class:`~repro.engine.Engine` object (names serialize; objects
     #: flatten to their name in :func:`synthesis_config_to_dict`)
     engine: "str | Engine" = "native"
@@ -392,8 +392,9 @@ class _DomainExit:
     """Stop condition "the state left the (inflated) domain".
 
     Callable per-state like any ``stop_condition``; additionally exposes
-    :meth:`batch` so batch simulators (the ``vectorized`` engine) can
-    test a whole ``(m, n)`` state block in one array pass instead of
+    :meth:`batch` so batch simulators
+    (:class:`~repro.engine.VectorizedSimBackend`) can test a whole
+    ``(m, n)`` state block in one array pass instead of
     ``m`` Python calls per step — the dominant seed-sim overhead once
     integration itself is vectorized.
     """

@@ -142,12 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock budget per external SMT solver process "
         "(portfolio engine only; default: the ICP time limit, else 30s)",
     )
-    p_verify.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="ICP worker processes for the sharded-icp/portfolio engines "
-        "(default: REPRO_SHARDS, else 1; results are bit-identical at "
-        "any shard count)",
-    )
 
     p_profile = sub.add_parser(
         "profile",
@@ -173,11 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument(
         "--no-kernels", action="store_true",
         help="profile with the kernel layer disabled",
-    )
-    p_profile.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="also time the SMT stage on the sharded-icp engine with N "
-        "worker processes, as a side-by-side baseline column",
     )
     p_profile.add_argument(
         "--json", type=str, default="", metavar="FILE",
@@ -429,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="ENGINE",
         help="engines to cross-check (default: native batched-icp "
-        "sharded-icp portfolio)",
+        "portfolio)",
     )
     p_fuzz.add_argument(
         "--no-twins",
@@ -853,8 +842,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             icp_overrides["delta"] = args.delta
         if args.solver_timeout is not None:
             icp_overrides["solver_timeout"] = args.solver_timeout
-        if args.shards is not None:
-            icp_overrides["shards"] = args.shards
         if icp_overrides:
             overrides["icp"] = dataclasses.replace(config.icp, **icp_overrides)
         if overrides:
@@ -873,7 +860,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             icp=IcpConfig(
                 delta=1e-3 if args.delta is None else args.delta,
                 solver_timeout=args.solver_timeout,
-                shards=args.shards,
             ),
         )
     artifact = run(scenario, config=config, engine=args.engine)
@@ -896,7 +882,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         compare=args.compare,
         kernels=not args.no_kernels,
-        shards=args.shards,
     )
     print(format_profile(report))
     if args.json:

@@ -7,9 +7,8 @@ only at family defaults:
 ``cache-key``    the content-addressed store key is invariant under
                  parameter-dict reordering (canonicalisation holds)
 ``cross-engine`` every engine agrees on the verdict, and the exact-
-                 degrade engines (``batched-icp`` / ``sharded-icp`` /
-                 ``portfolio``) agree on the *entire artifact* minus
-                 timing fields
+                 degrade engines (``batched-icp`` / ``portfolio``)
+                 agree on the *entire artifact* minus timing fields
 ``round-trip``   ``RunArtifact`` JSON serialisation round-trips to an
                  identical artifact
 ``twin``         generated twins (:mod:`repro.corpus.twins`) conform to
@@ -70,12 +69,10 @@ __all__ = [
 CHECK_KINDS = ("cache-key", "cross-engine", "round-trip", "twin")
 
 #: engines every sampled point runs under
-DEFAULT_ENGINES = ("native", "batched-icp", "sharded-icp", "portfolio")
+DEFAULT_ENGINES = ("native", "batched-icp", "portfolio")
 
 #: engines whose artifacts must match field-for-field (exact degrade)
-STRICT_PARITY_ENGINES = frozenset(
-    {"batched-icp", "sharded-icp", "portfolio"}
-)
+STRICT_PARITY_ENGINES = frozenset({"batched-icp", "portfolio"})
 
 #: artifact fields that cannot match across engines by construction
 VOLATILE_FIELDS = frozenset(

@@ -3,25 +3,18 @@
 An :class:`Engine` bundles one backend per solver role — simulation
 (:class:`SimBackend`), LP fitting (:class:`LpBackend`), δ-SAT checking
 (:class:`SmtBackend`) — behind a string-keyed registry, mirroring the
-scenario registry of :mod:`repro.api.scenario`.  Six engines ship
+scenario registry of :mod:`repro.api.scenario`.  Three engines ship
 built in:
 
 ``native``        the historical scalar simulation and SMT code
-                  paths (default)
-``vectorized``    NumPy batch integrator stepping every seed trace
-                  through one array pass per RK stage
-``parallel-smt``  independent condition-(5)/(6)/(7) subproblem boxes
-                  dispatched across a thread pool, each solved by the
-                  batched structure-of-arrays ICP solver
-``batched-icp``   the whole δ-SAT frontier in one
-                  :class:`~repro.intervals.BoxArray` with frontier-wide
-                  vectorized HC4 contraction (fastest single-core SMT)
-``sharded-icp``   the batched frontier's per-round row work fanned out
-                  across forked worker processes over shared memory
-                  (``--shards``/``REPRO_SHARDS``); bit-identical
-                  verdicts/witnesses/artifacts at every shard count
+                  paths (default, and the reference oracle of the
+                  fuzz/parity harnesses)
+``batched-icp``   NumPy batch simulation and the whole δ-SAT frontier in
+                  one :class:`~repro.intervals.BoxArray` with
+                  frontier-wide vectorized HC4 contraction (the fast
+                  in-house SMT path)
 ``portfolio``     external SMT solvers (z3/dreal, via
-                  :mod:`repro.solvers`) raced against the sharded ICP
+                  :mod:`repro.solvers`) raced against the ``batched-icp``
                   lane; degrades to it exactly when no binaries are
                   installed
 
@@ -29,7 +22,7 @@ Selecting one::
 
     from repro import api
 
-    artifact = api.run("dubins", engine="vectorized")
+    artifact = api.run("dubins", engine="batched-icp")
 
 Registering a custom stack reuses any builtin backend for the roles you
 do not replace::
@@ -60,8 +53,6 @@ from .base import (
 )
 from .batched import BatchedSmtBackend
 from .native import NativeLpBackend, NativeSimBackend, SerialSmtBackend
-from .parallel import ParallelSmtBackend
-from .sharded import ShardedSmtBackend
 from .vectorized import VectorizedSimBackend
 
 __all__ = [
@@ -70,9 +61,7 @@ __all__ = [
     "LpBackend",
     "NativeLpBackend",
     "NativeSimBackend",
-    "ParallelSmtBackend",
     "SerialSmtBackend",
-    "ShardedSmtBackend",
     "SimBackend",
     "SmtBackend",
     "VectorizedSimBackend",
@@ -86,41 +75,16 @@ __all__ = [
 
 
 def _register_builtins() -> None:
-    sim = NativeSimBackend()
     lp = NativeLpBackend()
-    smt = SerialSmtBackend()
     register_engine(
         Engine(
             name="native",
             description="Historical scalar code paths: per-trace "
             "simulation, HiGHS LP, serial SMT dispatch (default)",
-            sim=sim,
+            sim=NativeSimBackend(),
             lp=lp,
-            smt=smt,
+            smt=SerialSmtBackend(),
             tags=("builtin", "default"),
-        )
-    )
-    register_engine(
-        Engine(
-            name="vectorized",
-            description="NumPy batch integrator stepping all seed traces "
-            "in one array pass; native LP and SMT",
-            sim=VectorizedSimBackend(),
-            lp=lp,
-            smt=smt,
-            tags=("builtin",),
-        )
-    )
-    register_engine(
-        Engine(
-            name="parallel-smt",
-            description="Condition-(5)/(6)/(7) subproblem boxes dispatched "
-            "across a thread pool, each on the batched ICP solver; "
-            "native simulation and LP",
-            sim=sim,
-            lp=lp,
-            smt=ParallelSmtBackend(),
-            tags=("builtin",),
         )
     )
     register_engine(
@@ -135,19 +99,6 @@ def _register_builtins() -> None:
             tags=("builtin",),
         )
     )
-    register_engine(
-        Engine(
-            name="sharded-icp",
-            description="Frontier-sharded branch-and-prune: the batched "
-            "ICP round work fanned across forked workers over shared "
-            "memory (--shards/REPRO_SHARDS), bit-identical to "
-            "batched-icp; vectorized simulation, native LP",
-            sim=VectorizedSimBackend(),
-            lp=lp,
-            smt=ShardedSmtBackend(),
-            tags=("builtin",),
-        )
-    )
     # Imported here (not at module top) because repro.solvers is pure
     # downstream code that must stay importable without repro.engine.
     from ..solvers.portfolio import PortfolioSmtBackend
@@ -156,7 +107,7 @@ def _register_builtins() -> None:
         Engine(
             name="portfolio",
             description="External SMT solvers (z3/dreal subprocesses over "
-            "SMT-LIB emission) raced against the sharded ICP lane; "
+            "SMT-LIB emission) raced against the batched ICP lane; "
             "first verdict wins, exact batched-icp degrade when no "
             "binaries are installed",
             sim=VectorizedSimBackend(),

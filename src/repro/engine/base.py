@@ -145,14 +145,9 @@ class Engine:
         return bool(available), str(reason)
 
     def describe(self) -> dict:
-        """Plain-data view for tooling (``repro engines --json``).
-
-        SMT backends may expose ``describe_extra() -> dict`` to add
-        backend-specific keys (the sharded backend reports its resolved
-        ``shards`` count); extras never override the standard keys.
-        """
+        """Plain-data view for tooling (``repro engines --json``)."""
         available, reason = self.availability()
-        info = {
+        return {
             "name": self.name,
             "description": self.description,
             "sim": type(self.sim).__name__,
@@ -162,11 +157,6 @@ class Engine:
             "available": available,
             "reason": reason,
         }
-        extra = getattr(self.smt, "describe_extra", None)
-        if extra is not None:
-            for key, value in dict(extra()).items():
-                info.setdefault(key, value)
-        return info
 
 
 _REGISTRY: dict[str, Engine] = {}

@@ -2,8 +2,8 @@
 
 Every barrier-condition query decomposes into box subproblems
 (:func:`repro.barrier.condition5_subproblems` yields the ``D \\ X0``
-cover, check (7) one region per unsafe facet).  The serial and
-thread-pool backends solve them one scalar-frontier search at a time;
+cover, check (7) one region per unsafe facet).  The serial backend
+solves them one scalar-frontier search at a time;
 :class:`BatchedSmtBackend` instead hands each *run of subproblems that
 share a constraint system* to
 :meth:`~repro.smt.BatchedIcpSolver.solve_union`, which seeds a single
@@ -33,14 +33,6 @@ class BatchedSmtBackend:
 
     name = "batched-icp"
 
-    def _make_solver(
-        self,
-        config: IcpConfig | None,
-        should_stop: "Callable[[], bool] | None",
-    ) -> BatchedIcpSolver:
-        """Solver factory — the ``sharded-icp`` subclass swaps this."""
-        return BatchedIcpSolver(config, should_stop=should_stop)
-
     def check(
         self,
         subproblems: Sequence[Subproblem],
@@ -54,7 +46,7 @@ class BatchedSmtBackend:
         see :class:`~repro.smt.BatchedIcpSolver`; the ``portfolio``
         engine passes it, default callers never do.
         """
-        solver = self._make_solver(config, should_stop)
+        solver = BatchedIcpSolver(config, should_stop=should_stop)
         delta = solver.config.delta
         if not subproblems:
             return SmtResult(Verdict.UNSAT, delta)

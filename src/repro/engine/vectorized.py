@@ -1,4 +1,4 @@
-"""The ``vectorized`` engine's simulator: one array pass for all traces.
+"""Batch simulation for ``batched-icp``/``portfolio``: one array pass.
 
 The native seed-sim stage integrates each initial state in its own
 Python loop — for ``m`` seed traces of ``T`` steps that is ``m * T``

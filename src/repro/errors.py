@@ -45,17 +45,6 @@ class BudgetExceededError(SolverError):
     """The ICP solver exhausted its box or time budget without a verdict."""
 
 
-class WorkerDied(SolverError):
-    """A forked/pooled worker process died or went unresponsive mid-task.
-
-    Raised by the sharded ICP master when a shard worker's pipe read
-    hits its deadline or the process sentinel reports death, and by the
-    warm-pool supervisor when a chunk dispatch loses its worker.  The
-    raiser guarantees shared resources (pipes, shared-memory segments)
-    are released before the error propagates.
-    """
-
-
 class InjectedFault(ReproError):
     """A deterministic test fault fired at a :mod:`repro.resilience` seam.
 

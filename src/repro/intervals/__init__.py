@@ -9,8 +9,6 @@ Public surface:
   solver frontier.
 * ``i*`` free functions — dual-semantics (float or interval) elementary
   functions, plus vectorized interval linear algebra for the NN hot path.
-* :class:`SharedFrontier` — frontier bound planes in shared memory with
-  copy-free :class:`BoxArray` views, for the sharded ICP workers.
 """
 
 from .array import BoxArray, IntervalArray
@@ -46,7 +44,6 @@ from .rounding import (
     trig_slack,
     widen,
 )
-from .shared import SharedFrontier, SharedPlane, recent_segment_names
 
 __all__ = [
     "Box",
@@ -54,9 +51,6 @@ __all__ = [
     "Interval",
     "IntervalArray",
     "PAD",
-    "SharedFrontier",
-    "SharedPlane",
-    "recent_segment_names",
     "TRIG_SLACK",
     "iabs",
     "iatan",

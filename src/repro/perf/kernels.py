@@ -113,7 +113,7 @@ class KernelPlan:
 
     Build via :meth:`repro.expr.CompiledExpression.kernel`, which caches
     one plan per tape.  The plan owns its workspace pools, so concurrent
-    evaluations (the thread-pool SMT backend) never share scratch state.
+    evaluations (concurrent threads) never share scratch state.
     """
 
     def __init__(self, tape: "CompiledExpression"):

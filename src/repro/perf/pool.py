@@ -22,15 +22,16 @@ The lease discipline is strict:
   :data:`MIN_BUCKET`), so a plan revising frontiers of 37, then 61, then
   44 boxes reuses one 64-wide workspace instead of three exact-size
   ones.
-* Free lists are **per-thread**: the thread-pool SMT backend can run the
-  same plan concurrently from several threads without locks or sharing.
+* Free lists are **per-thread**: the portfolio's race lanes and the
+  service's worker threads can run the same plan concurrently without
+  locks or sharing.
 * Pools are **fork-safe**: a child process starts with every free list
   empty (see :func:`_reset_pools_after_fork`), so a workspace leased in
   the parent at fork time — or sitting on the forking thread's free
   list — is never handed out again in the child while the parent still
-  considers it live.  The sharded ICP workers
-  (:mod:`repro.smt.icp_sharded`) fork with inherited, already-compiled
-  plans and rely on this to build their own per-process workspaces.
+  considers it live.  Forked :class:`~repro.api.pool.WarmPool` workers
+  inherit already-compiled plans and rely on this to build their own
+  per-process workspaces.
 
 ``tests/perf/test_pool.py`` pins the exclusivity, reuse, and post-fork
 semantics.

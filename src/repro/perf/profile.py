@@ -16,8 +16,6 @@ machine-readable form feeds ``benchmarks/test_synthesis_micro.py``.
 
 from __future__ import annotations
 
-import contextlib
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -49,8 +47,6 @@ class ProfileReport:
     other_seconds: float
     stage_seconds: dict[str, float] = field(default_factory=dict)
     baseline: "ProfileReport | None" = None
-    #: ICP worker count this run was taken with (None: serial/default)
-    shards: "int | None" = None
 
     def to_dict(self) -> dict:
         """JSON-ready view (baseline flattened recursively)."""
@@ -67,8 +63,6 @@ class ProfileReport:
             "other_seconds": self.other_seconds,
             "stage_seconds": dict(self.stage_seconds),
         }
-        if self.shards is not None:
-            data["shards"] = self.shards
         if self.baseline is not None:
             data["baseline"] = self.baseline.to_dict()
         return data
@@ -92,27 +86,12 @@ def _best_run(scenario, engine, repeats: int) -> tuple[float, "object"]:
     return best_elapsed, best_artifact
 
 
-@contextlib.contextmanager
-def _shards_env(n: int):
-    """Scoped ``REPRO_SHARDS`` override (restores the previous value)."""
-    old = os.environ.get("REPRO_SHARDS")
-    os.environ["REPRO_SHARDS"] = str(n)
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_SHARDS", None)
-        else:
-            os.environ["REPRO_SHARDS"] = old
-
-
 def profile_scenario(
     scenario: "str | object",
     engine: "str | None" = None,
     repeats: int = 3,
     compare: bool = False,
     kernels: bool = True,
-    shards: "int | None" = None,
 ) -> ProfileReport:
     """Profile one scenario verify; optionally against the no-kernel path.
 
@@ -131,27 +110,11 @@ def profile_scenario(
         in results.
     kernels:
         Kernel switch for the primary run (default on).
-    shards:
-        Also run the ``sharded-icp`` engine with this many worker
-        processes and attach it as ``baseline``, putting serial and
-        sharded SMT side by side (results are bit-identical, so the
-        comparison is pure speed).  When ``engine`` is None the primary
-        run uses ``batched-icp`` so the pair differs only in sharding.
-        Takes the ``baseline`` slot, so ``compare`` is ignored.
     """
 
-    def build(
-        flag: bool,
-        run_engine: "str | None" = engine,
-        shard_count: "int | None" = None,
-    ) -> ProfileReport:
-        env = (
-            _shards_env(shard_count)
-            if shard_count is not None
-            else contextlib.nullcontext()
-        )
-        with env, use_kernels(flag):
-            elapsed, artifact = _best_run(scenario, run_engine, repeats)
+    def build(flag: bool) -> ProfileReport:
+        with use_kernels(flag):
+            elapsed, artifact = _best_run(scenario, engine, repeats)
         return ProfileReport(
             scenario=artifact.scenario,
             engine=artifact.engine,
@@ -164,15 +127,8 @@ def profile_scenario(
             query_seconds=artifact.query_seconds,
             other_seconds=artifact.other_seconds,
             stage_seconds=dict(artifact.stage_seconds),
-            shards=shard_count,
         )
 
-    if shards is not None:
-        shards = max(1, int(shards))
-        primary = "batched-icp" if engine is None else engine
-        report = build(kernels, primary)
-        report.baseline = build(kernels, "sharded-icp", shards)
-        return report
     report = build(kernels)
     if compare:
         report.baseline = build(not kernels)
@@ -190,12 +146,8 @@ def format_profile(report: ProfileReport) -> str:
     header = f"{'stage':<12} {'seconds':>9} {'share':>7}"
     if base is not None:
         # Label the comparison column by what the baseline actually ran
-        # with (profiling with --no-kernels flips it to the kernel path;
-        # --shards makes the baseline the sharded engine).
-        if base.shards is not None:
-            base_label = f"{base.shards}-shard"
-        else:
-            base_label = "kernels-on" if base.kernels else "no-kernel"
+        # with (profiling with --no-kernels flips it to the kernel path).
+        base_label = "kernels-on" if base.kernels else "no-kernel"
         header += f" {base_label:>10} {'speedup':>8}"
     lines.append(header)
     total = max(report.total_seconds, 1e-12)

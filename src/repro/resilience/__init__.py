@@ -10,14 +10,13 @@ Three layers, each documented in its module:
   records every recovery event (respawns, breaker trips, degradations,
   job retries) *outside* run artifacts.
 * :mod:`repro.resilience.ladder` — the engine degradation ladder
-  (``sharded-icp → batched-icp → native``): unrecoverable machinery
+  (``portfolio → batched-icp → native``): unrecoverable machinery
   loss re-runs the request on the next rung, byte-identical to having
   asked for that engine directly.
 
 The ``repro chaos`` CLI (:mod:`repro.resilience.chaos`) ties them
 together: it replays the scenario corpus under seeded fault schedules
-and asserts no hangs, no verdict flips, and no leaked processes or
-shared-memory segments.
+and asserts no hangs, no verdict flips, and no leaked processes.
 """
 
 from .chaos import (

@@ -17,9 +17,7 @@ PR's resilience layer:
   or cleanly degraded (the engine ladder's byte-parity contract);
 * **clean accounting** — recovery shows up in the incident log, never
   in the artifact;
-* **no leaks** — no shared-memory segment created along the way
-  survives (probed by name via ``SharedMemory(name=)``) and no child
-  process outlives its run.
+* **no leaks** — no child process outlives its run.
 
 Failures are written as JSON reproducers carrying the seed, the point,
 and the exact fault plan, so any chaos failure replays in isolation.
@@ -53,8 +51,6 @@ __all__ = [
 
 #: the fault scenarios a chaos run rotates through, in order
 CHAOS_SCENARIOS = (
-    "shard-kill",
-    "shard-hang",
     "pool-kill",
     "solver-garbage",
     "solver-hang",
@@ -136,9 +132,8 @@ class ChaosOutcome:
     incidents: "dict[str, int]" = field(default_factory=dict)
     #: True when at least one fault fired and the verdict still held
     recovered: bool = False
-    #: True when the engine ladder (or shard degrade) stepped down
+    #: True when the engine ladder stepped down
     degraded: bool = False
-    leaked_segments: "list[str]" = field(default_factory=list)
     leaked_pids: "list[int]" = field(default_factory=list)
     seconds: float = 0.0
 
@@ -261,25 +256,6 @@ def _guarded(fn, limit: float):
     return box.get("value")
 
 
-def _segment_exists(name: str) -> bool:
-    from multiprocessing import shared_memory
-
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    except OSError:  # pragma: no cover - platform-specific probe failure
-        return False
-    segment.close()
-    return True
-
-
-def _leaked_segments() -> "list[str]":
-    from ..intervals import recent_segment_names
-
-    return [name for name in recent_segment_names() if _segment_exists(name)]
-
-
 def _leaked_children(before: "frozenset[int]", grace: float = 5.0) -> "list[int]":
     """Child processes born during the sample and still alive."""
     import multiprocessing as mp
@@ -323,11 +299,7 @@ def _point_setup(family_name: str, params: dict, seed: int):
 # ----------------------------------------------------------------------
 def _plan_for(scenario: str, at: int) -> FaultPlan:
     """The deterministic fault schedule of one chaos scenario."""
-    if scenario == "shard-kill":
-        actions = (FaultAction("shard.worker", "kill", at=at),)
-    elif scenario == "shard-hang":
-        actions = (FaultAction("shard.worker", "hang", at=at),)
-    elif scenario == "pool-kill":
+    if scenario == "pool-kill":
         actions = (FaultAction("pool.worker", "kill", at=0),)
     elif scenario == "solver-garbage":
         actions = (FaultAction("solver.output", "garbage", at=at),)
@@ -347,8 +319,6 @@ def _plan_for(scenario: str, at: int) -> FaultPlan:
 
 
 _SCENARIO_ENGINE = {
-    "shard-kill": "sharded-icp",
-    "shard-hang": "sharded-icp",
     "pool-kill": "batched-icp",
     "solver-garbage": "portfolio",
     "solver-hang": "portfolio",
@@ -358,11 +328,7 @@ _SCENARIO_ENGINE = {
 }
 
 _SCENARIO_ENV = {
-    # Force real worker teams (and a short round deadline so an
-    # injected SIGSTOP trips WorkerDied in seconds, not half a minute).
-    "shard-kill": {"REPRO_SHARDS": "2", "REPRO_SHARD_TIMEOUT": "10"},
-    "shard-hang": {"REPRO_SHARDS": "2", "REPRO_SHARD_TIMEOUT": "2"},
-    # A SIGSTOPped pool worker is caught by the chunk deadline instead.
+    # A SIGSTOPped pool worker is caught by the chunk deadline.
     "pool-kill": {"REPRO_CHUNK_TIMEOUT": "60"},
 }
 
@@ -607,13 +573,8 @@ def chaos(
         incident_counts: dict[str, int] = {}
         for entry in incidents():
             incident_counts[entry["kind"]] = incident_counts.get(entry["kind"], 0) + 1
-        degraded = bool(
-            incident_counts.get("engine.degrade") or incident_counts.get("shard.degrade")
-        )
-        leaked = _leaked_segments()
+        degraded = bool(incident_counts.get("engine.degrade"))
         leaked_pids = _leaked_children(before_children)
-        if ok and leaked:
-            ok, detail = False, f"leaked shm segments: {', '.join(leaked)}"
         if ok and leaked_pids:
             ok = False
             detail = f"leaked child processes: {leaked_pids}"
@@ -632,7 +593,6 @@ def chaos(
             incidents=incident_counts,
             recovered=bool(ok and fired),
             degraded=degraded,
-            leaked_segments=leaked,
             leaked_pids=leaked_pids,
             seconds=elapsed,
         )

@@ -2,13 +2,12 @@
 
 Every verdict-producing layer of the system has *seams*: named points
 where the cooperative-environment assumption can break — a pool worker
-can be OOM-killed, a shard worker can wedge, an external solver can
-print garbage, a journal append can tear mid-line.  This module gives
-each seam a name and a single cheap hook (:func:`fire`) the hot paths
-call; with no :class:`FaultPlan` installed (the production default) the
-hook is one ``None`` check and nothing else, so the seam wiring is
-free and the instrumented paths stay byte-identical to uninstrumented
-ones.
+can be OOM-killed or wedge, an external solver can print garbage, a
+journal append can tear mid-line.  This module gives each seam a name
+and a single cheap hook (:func:`fire`) the hot paths call; with no
+:class:`FaultPlan` installed (the production default) the hook is one
+``None`` check and nothing else, so the seam wiring is free and the
+instrumented paths stay byte-identical to uninstrumented ones.
 
 A :class:`FaultPlan` is a deterministic schedule: each
 :class:`FaultAction` names a seam, a fault *kind*, and the hit index at
@@ -23,7 +22,6 @@ each):
 
 ========================= ============================================
 ``pool.worker``           warm-pool worker during a chunk dispatch
-``shard.worker``          sharded-ICP worker during a frontier round
 ``solver.spawn``          external solver subprocess launch
 ``solver.output``         external solver transcript parsing
 ``store.read``            artifact store entry read
@@ -65,7 +63,6 @@ __all__ = [
 #: every named seam wired into the execution stack
 SEAMS = (
     "pool.worker",
-    "shard.worker",
     "solver.spawn",
     "solver.output",
     "store.read",
@@ -76,7 +73,6 @@ SEAMS = (
 #: fault kinds that make sense at each seam (random plans draw from this)
 SEAM_KINDS: "dict[str, tuple[str, ...]]" = {
     "pool.worker": ("kill", "hang"),
-    "shard.worker": ("kill", "hang"),
     "solver.spawn": ("error",),
     "solver.output": ("garbage", "hang"),
     "store.read": ("garbage", "error"),
@@ -224,9 +220,9 @@ def install_plan(plan: FaultPlan) -> None:
     """Activate ``plan`` process-wide, resetting counters and the log.
 
     Forked children inherit the active plan (and the counters as of the
-    fork); spawned processes do not — the seams that matter in workers
-    (``shard.worker``, ``pool.worker``) are therefore fired from the
-    *master* side, which keeps all counting in one process.
+    fork); spawned processes do not — the seam that matters in workers
+    (``pool.worker``) is therefore fired from the *master* side, which
+    keeps all counting in one process.
     """
     global _STATE
     with _LOCK:

@@ -1,17 +1,16 @@
 """Engine degradation ladder: step down instead of failing the run.
 
-The process-parallel engines trade isolation for speed — ``sharded-icp``
-forks workers over shared memory, ``portfolio`` races external solver
-subprocesses.  When that machinery breaks *unrecoverably* (the sharded
-supervisor exhausts its respawn budget, the process pool is gone), the
-run itself is still perfectly solvable: every rung of the ladder
-computes the same verdicts, just slower.  :func:`run_with_degradation`
-walks
+Some execution machinery can break without the problem being at fault
+— ``portfolio`` races external solver subprocesses, and a backend may
+run its work on a process pool.  When that machinery breaks
+*unrecoverably* (the process pool is gone), the run itself is still
+perfectly solvable: every rung of the ladder computes the same
+verdicts, just slower.  :func:`run_with_degradation` walks
 
-    ``sharded-icp → batched-icp → native``
+    ``portfolio → batched-icp → native``
 
-(``portfolio`` also steps to ``batched-icp``, its documented no-binaries
-degrade target) re-running on the next rung.  The determinism contract
+(``batched-icp`` is the portfolio's documented no-binaries degrade
+target) re-running on the next rung.  The determinism contract
 is deliberately blunt: a degraded run **re-executes from scratch on the
 fallback engine**, so its artifact is byte-identical to having requested
 that engine directly — no partial results are stitched together, and
@@ -25,7 +24,6 @@ from __future__ import annotations
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, TypeVar
 
-from ..errors import WorkerDied
 from .supervisor import record_incident
 
 __all__ = ["DEGRADE_TO", "degradation_path", "fallback_engine", "run_with_degradation"]
@@ -34,15 +32,13 @@ T = TypeVar("T")
 
 #: next rung down for each engine that can lose workers
 DEGRADE_TO = {
-    "sharded-icp": "batched-icp",
     "portfolio": "batched-icp",
-    "parallel-smt": "batched-icp",
     "batched-icp": "native",
 }
 
 #: error types that mean "the execution machinery died", not "the
 #: problem is unsolvable" — only these trigger a step down
-_DEGRADABLE = (WorkerDied, BrokenProcessPool)
+_DEGRADABLE = (BrokenProcessPool,)
 
 
 def fallback_engine(name: str) -> "str | None":

@@ -135,9 +135,20 @@ class ServiceServer:
     def stop_thread(self) -> None:
         """Stop a :meth:`run_in_thread` server from any thread."""
         loop = getattr(self, "_loop", None)
-        if loop is not None and not loop.is_closed():
+        if loop is None:
+            return
+
+        def cancel_all() -> None:
             for task in asyncio.all_tasks(loop):
-                loop.call_soon_threadsafe(task.cancel)
+                task.cancel()
+
+        # Cancel from inside the loop thread: the loop closes as soon as
+        # the server task ends, so a second cross-thread call could find
+        # it closed.
+        try:
+            loop.call_soon_threadsafe(cancel_all)
+        except RuntimeError:  # the loop already closed
+            pass
 
     # ------------------------------------------------------------------
     # HTTP plumbing

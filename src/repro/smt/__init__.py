@@ -13,7 +13,6 @@ from .formula import And, Atom, Formula, Or, conjunction_of, to_dnf
 from .hc4 import FrontierContractor, contract_frontier
 from .icp import IcpConfig, IcpSolver, solve_conjunction
 from .icp_batched import BatchedIcpSolver, solve_conjunction_batched
-from .icp_sharded import ShardedIcpSolver, resolve_shards
 from .queries import Subproblem, check_exists, check_exists_on_boxes
 from .result import SmtResult, SolverStats, Verdict
 
@@ -28,7 +27,6 @@ __all__ = [
     "IcpSolver",
     "Or",
     "Relation",
-    "ShardedIcpSolver",
     "SmtResult",
     "SolverStats",
     "Status",
@@ -45,7 +43,6 @@ __all__ = [
     "hc4_revise",
     "le",
     "lt",
-    "resolve_shards",
     "solve_conjunction",
     "solve_conjunction_batched",
     "to_dnf",

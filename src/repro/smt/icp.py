@@ -61,14 +61,6 @@ class IcpConfig:
         processes raced by the ``portfolio`` engine (see
         :mod:`repro.solvers`).  ``None`` falls back to ``time_limit``
         when set, else 30 seconds.  Ignored by the in-house ICP solvers.
-    shards:
-        Worker-process count for the frontier-sharded solver
-        (:class:`~repro.smt.icp_sharded.ShardedIcpSolver`).  ``None``
-        defers to the ``REPRO_SHARDS`` environment variable (unset: 1,
-        i.e. the serial batched path).  A pure execution-layout knob:
-        the parity gate pins results bit-identical for every value, so
-        it is excluded from run fingerprints and artifact JSON (see
-        :func:`repro.api.scenario.synthesis_config_to_dict`).
     """
 
     delta: float = 1e-3
@@ -79,7 +71,6 @@ class IcpConfig:
     contractor_node_limit: int = 512
     contractor_rounds: int = 2
     solver_timeout: float | None = None
-    shards: int | None = None
 
     def __post_init__(self) -> None:
         if self.delta <= 0.0:
@@ -90,8 +81,6 @@ class IcpConfig:
             raise SolverError("max_boxes must be >= 1")
         if self.solver_timeout is not None and self.solver_timeout <= 0.0:
             raise SolverError("solver_timeout must be positive")
-        if self.shards is not None and self.shards < 1:
-            raise SolverError("shards must be >= 1")
 
 
 class IcpSolver:

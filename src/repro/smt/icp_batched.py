@@ -49,10 +49,7 @@ def prune_masks(
     Runs every constraint tape over the rows still alive (progressively
     masked, so a row refuted by an early constraint skips the later
     tapes — exactly the historical in-loop behavior of ``solve`` /
-    ``solve_union``).  Row results depend only on that row's bounds, so
-    evaluating a row subset yields bit-identical masks — the property
-    the sharded solver's row-range fan-out relies on (pinned by
-    ``tests/smt/test_icp_sharded.py``).
+    ``solve_union``).
     """
     m = lo.shape[0]
     alive = np.ones(m, dtype=bool)
@@ -98,29 +95,6 @@ class BatchedIcpSolver:
     ):
         self.config = config or IcpConfig()
         self.should_stop = should_stop
-
-    # The two hooks below carry every round's heavy row-wise work.  They
-    # are methods (not inlined) so the frontier-sharded subclass
-    # (:class:`~repro.smt.icp_sharded.ShardedIcpSolver`) can fan the
-    # same computation out across worker processes while the search loop
-    # — frontier order, witness scan, stats — stays this exact code.
-    def _prune_masks(
-        self,
-        tapes: Sequence,
-        constraints: Sequence[Constraint],
-        batch: BoxArray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Forward-pass ``(alive, all_true)`` masks for one batch."""
-        return prune_masks(tapes, constraints, batch.lo, batch.hi)
-
-    def _contract_rows(
-        self,
-        contractors: Sequence[FrontierContractor],
-        boxes: BoxArray,
-        max_rounds: int,
-    ) -> tuple[BoxArray, np.ndarray]:
-        """HC4 contraction of the surviving rows."""
-        return contract_frontier(contractors, boxes, max_rounds=max_rounds)
 
     def solve(
         self,
@@ -185,7 +159,7 @@ class BatchedIcpSolver:
             stats.boxes_processed += m
             stats.max_depth = max(stats.max_depth, int(batch_depths.max()))
 
-            alive, all_true = self._prune_masks(tapes, constraints, batch)
+            alive, all_true = prune_masks(tapes, constraints, batch.lo, batch.hi)
 
             stats.boxes_pruned += int(m - alive.sum())
 
@@ -226,10 +200,10 @@ class BatchedIcpSolver:
                     first_pre = len(survivors)
                 need = np.zeros(len(survivors), dtype=bool)
                 need[:first_pre] = True
-                contracted, c_alive = self._contract_rows(
+                contracted, c_alive = contract_frontier(
                     contractors,
                     survivors.select(need),
-                    config.contractor_rounds,
+                    max_rounds=config.contractor_rounds,
                 )
                 stats.contractions += int(need.sum())
             else:
@@ -438,7 +412,7 @@ class BatchedIcpSolver:
             np.add.at(tag_boxes, batch_tags, 1)
             stats.max_depth = max(stats.max_depth, int(batch_depths.max()))
 
-            alive, all_true = self._prune_masks(tapes, constraints, batch)
+            alive, all_true = prune_masks(tapes, constraints, batch.lo, batch.hi)
 
             stats.boxes_pruned += int(m - alive.sum())
 
@@ -475,10 +449,10 @@ class BatchedIcpSolver:
                 survivor_depths = survivor_depths[keep]
 
             if len(survivors) and contract_ok:
-                contracted, c_alive = self._contract_rows(
+                contracted, c_alive = contract_frontier(
                     contractors,
                     survivors,
-                    config.contractor_rounds,
+                    max_rounds=config.contractor_rounds,
                 )
                 stats.contractions += len(survivors)
                 stats.boxes_pruned += int((~c_alive).sum())

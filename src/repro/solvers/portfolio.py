@@ -1,9 +1,7 @@
 """The ``portfolio`` engine: external solvers raced against batched ICP.
 
 Every δ-SAT check is submitted simultaneously to the in-house ICP lane
-(:class:`~repro.engine.sharded.ShardedSmtBackend` — the batched solver,
-optionally fanned across forked workers when ``REPRO_SHARDS`` or
-``IcpConfig.shards`` asks for it) and to every available
+(:class:`~repro.engine.batched.BatchedSmtBackend`) and to every available
 external solver that supports the query's operator set.  The first
 definitive verdict (UNSAT or DELTA_SAT) wins; the losers are cancelled
 — external subprocesses are killed, the native search stops at its next
@@ -106,11 +104,7 @@ class PortfolioSmtBackend:
     native:
         In-house backend to race (and degrade to).  Must accept
         ``check(..., should_stop=)``; defaults to
-        :class:`~repro.engine.sharded.ShardedSmtBackend`, which at the
-        default single shard computes exactly what
-        :class:`~repro.engine.batched.BatchedSmtBackend` does — and
-        with ``REPRO_SHARDS``/``IcpConfig.shards`` set runs the same
-        search on forked workers, still bit-identical.
+        :class:`~repro.engine.batched.BatchedSmtBackend`.
     """
 
     name = "portfolio"
@@ -171,9 +165,9 @@ class PortfolioSmtBackend:
     def _native_backend(self):
         native = self._native
         if native is None:
-            from ..engine.sharded import ShardedSmtBackend  # avoid import cycle
+            from ..engine.batched import BatchedSmtBackend  # avoid import cycle
 
-            native = self._native = ShardedSmtBackend()
+            native = self._native = BatchedSmtBackend()
         return native
 
     # ------------------------------------------------------------------

@@ -208,12 +208,7 @@ def test_report_format_mentions_the_cheap_tier():
 
 
 def test_default_engine_set_is_the_full_matrix():
-    assert DEFAULT_ENGINES == (
-        "native",
-        "batched-icp",
-        "sharded-icp",
-        "portfolio",
-    )
+    assert DEFAULT_ENGINES == ("native", "batched-icp", "portfolio")
     assert STRICT_PARITY_ENGINES <= set(DEFAULT_ENGINES)
     assert CHECK_KINDS == ("cache-key", "cross-engine", "round-trip", "twin")
 

@@ -1,4 +1,4 @@
-"""Backend equivalence: vectorized vs native sim, parallel vs serial SMT."""
+"""Backend equivalence: vectorized vs native sim, backend vs direct LP."""
 
 from __future__ import annotations
 
@@ -7,17 +7,11 @@ import pytest
 
 from repro.barrier import QuadraticTemplate, Rectangle, fit_generator
 from repro.dynamics import error_dynamics_system, stable_linear_system
-from repro.engine import (
-    NativeSimBackend,
-    ParallelSmtBackend,
-    SerialSmtBackend,
-    VectorizedSimBackend,
-)
+from repro.engine import NativeSimBackend, VectorizedSimBackend
 from repro.intervals import Box, Interval
 from repro.learning import proportional_controller_network
 from repro.expr import var
 from repro.sim import sample_uniform
-from repro.smt import IcpConfig, Subproblem, Verdict, ge, le
 
 
 @pytest.fixture(scope="module")
@@ -127,63 +121,6 @@ class TestVectorizedSim:
         np.testing.assert_allclose(
             system.f_vectorized(points), system.f_batch(points), atol=1e-12
         )
-
-
-def _smt_subproblems():
-    """Three independent boxes; only the last can satisfy ``x >= 1``."""
-    constraint = ge(var("x"), 1.0)
-    return [
-        Subproblem([constraint], Box([Interval(-3.0, -2.0)]), label="a"),
-        Subproblem([constraint], Box([Interval(-1.0, 0.5)]), label="b"),
-        Subproblem([constraint], Box([Interval(0.0, 2.0)]), label="c"),
-    ]
-
-
-class TestParallelSmt:
-    def test_matches_serial_verdict_and_witness(self):
-        config = IcpConfig(delta=1e-3)
-        serial = SerialSmtBackend().check(_smt_subproblems(), ["x"], config)
-        parallel = ParallelSmtBackend().check(_smt_subproblems(), ["x"], config)
-        assert serial.verdict is parallel.verdict is Verdict.DELTA_SAT
-        np.testing.assert_allclose(serial.witness, parallel.witness)
-
-    def test_lowest_index_witness_wins(self):
-        """Both boxes are SAT; the serial semantics (first wins) hold."""
-        constraint = le(var("x"), 10.0)
-        subs = [
-            Subproblem([constraint], Box([Interval(5.0, 6.0)])),
-            Subproblem([constraint], Box([Interval(-6.0, -5.0)])),
-        ]
-        config = IcpConfig(delta=1e-3)
-        serial = SerialSmtBackend().check(subs, ["x"], config)
-        parallel = ParallelSmtBackend().check(subs, ["x"], config)
-        np.testing.assert_allclose(serial.witness, parallel.witness)
-        assert 5.0 <= parallel.witness[0] <= 6.0
-
-    def test_all_unsat(self):
-        constraint = ge(var("x"), 100.0)
-        subs = [
-            Subproblem([constraint], Box([Interval(-1.0, 0.0)])),
-            Subproblem([constraint], Box([Interval(0.0, 1.0)])),
-        ]
-        result = ParallelSmtBackend().check(subs, ["x"], IcpConfig(delta=1e-3))
-        assert result.verdict is Verdict.UNSAT
-        assert result.stats.boxes_processed > 0  # merged across subproblems
-
-    def test_empty_union_is_unsat(self):
-        result = ParallelSmtBackend().check([], ["x"], IcpConfig(delta=1e-3))
-        assert result.verdict is Verdict.UNSAT
-
-    def test_single_subproblem_skips_pool(self):
-        (sub,) = _smt_subproblems()[2:]
-        result = ParallelSmtBackend(max_workers=1).check(
-            [sub], ["x"], IcpConfig(delta=1e-3)
-        )
-        assert result.verdict is Verdict.DELTA_SAT
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            ParallelSmtBackend(max_workers=0)
 
 
 class TestNativeLp:

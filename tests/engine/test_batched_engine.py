@@ -16,13 +16,12 @@ from repro.barrier import verify_system
 from repro.barrier.certificate import condition5_subproblems
 from repro.engine import (
     BatchedSmtBackend,
-    ParallelSmtBackend,
     SerialSmtBackend,
     get_engine,
 )
 from repro.expr import sum_expr, var
 from repro.intervals import Box, Interval
-from repro.smt import BatchedIcpSolver, IcpConfig, Subproblem, Verdict, ge, le
+from repro.smt import IcpConfig, Subproblem, Verdict, ge, le
 
 
 class TestRegistration:
@@ -31,10 +30,9 @@ class TestRegistration:
         assert isinstance(engine.smt, BatchedSmtBackend)
         assert "builtin" in engine.tags
 
-    def test_parallel_smt_uses_batched_solver(self):
-        parallel = get_engine("parallel-smt").smt
-        assert isinstance(parallel, ParallelSmtBackend)
-        assert parallel.solver_factory is BatchedIcpSolver
+    def test_portfolio_races_batched_backend(self):
+        portfolio = get_engine("portfolio").smt
+        assert isinstance(portfolio._native_backend(), BatchedSmtBackend)
 
     def test_cli_lists_batched(self, capsys):
         from repro.cli import main

@@ -27,17 +27,17 @@ def linear_problem():
 
 class TestVerifySystem:
     def test_engine_by_name(self, linear_problem):
-        report = verify_system(linear_problem, engine="vectorized")
+        report = verify_system(linear_problem, engine="batched-icp")
         assert report.verified
 
     def test_engine_via_config(self, linear_problem):
         report = verify_system(
-            linear_problem, config=SynthesisConfig(engine="parallel-smt")
+            linear_problem, config=SynthesisConfig(engine="batched-icp")
         )
         assert report.verified
 
     def test_engine_object(self, linear_problem):
-        report = verify_system(linear_problem, engine=get_engine("vectorized"))
+        report = verify_system(linear_problem, engine=get_engine("batched-icp"))
         assert report.verified
 
     def test_unknown_engine_raises(self, linear_problem):
@@ -47,43 +47,43 @@ class TestVerifySystem:
     def test_all_builtin_engines_agree_on_linear(self, linear_problem):
         reports = {
             name: verify_system(linear_problem, engine=name)
-            for name in ("native", "vectorized", "parallel-smt")
+            for name in ("native", "batched-icp", "portfolio")
         }
         levels = {name: r.level for name, r in reports.items()}
         assert all(r.verified for r in reports.values())
-        # parallel-smt shares the native sim + LP: bit-identical level.
-        assert levels["parallel-smt"] == levels["native"]
-        # vectorized integrates the same grid to float accuracy.
-        assert levels["vectorized"] == pytest.approx(levels["native"], rel=1e-6)
+        # portfolio without binaries degrades exactly: bit-identical level.
+        assert levels["portfolio"] == levels["batched-icp"]
+        # the batch integrator walks the same grid to float accuracy.
+        assert levels["batched-icp"] == pytest.approx(levels["native"], rel=1e-6)
 
     def test_certificate_verify_accepts_engine(self, linear_problem):
         report = verify_system(linear_problem)
-        check = report.certificate.verify(engine="parallel-smt")
+        check = report.certificate.verify(engine="batched-icp")
         assert check.all_unsat
 
 
 class TestPipelineAndRun:
     def test_pipeline_engine_param(self, linear_problem):
-        outcome = VerificationPipeline(engine="vectorized").run(linear_problem)
+        outcome = VerificationPipeline(engine="batched-icp").run(linear_problem)
         assert outcome.verified
         assert set(outcome.report.stage_seconds) >= {"seed-sim", "lp-fit"}
 
     def test_run_records_engine_name(self):
-        artifact = run("linear", engine="vectorized")
-        assert artifact.engine == "vectorized"
+        artifact = run("linear", engine="batched-icp")
+        assert artifact.engine == "batched-icp"
         assert artifact.verified
 
     def test_scenario_engine_override(self):
-        scenario = get_scenario("linear").with_engine("parallel-smt")
+        scenario = get_scenario("linear").with_engine("batched-icp")
         artifact = run(scenario)
-        assert artifact.engine == "parallel-smt"
+        assert artifact.engine == "batched-icp"
         # explicit argument beats the scenario override
         artifact = run(scenario, engine="native")
         assert artifact.engine == "native"
 
     def test_run_batch_engine(self):
-        artifacts = run_batch(["linear", "vanderpol"], workers=2, engine="vectorized")
-        assert [a.engine for a in artifacts] == ["vectorized", "vectorized"]
+        artifacts = run_batch(["linear", "vanderpol"], workers=2, engine="batched-icp")
+        assert [a.engine for a in artifacts] == ["batched-icp", "batched-icp"]
         assert all(a.verified for a in artifacts)
 
     def test_user_registered_engine_reaches_workers(self):
@@ -136,17 +136,17 @@ class TestPipelineAndRun:
 
 class TestConfigSerialization:
     def test_engine_name_round_trips(self):
-        config = SynthesisConfig(engine="vectorized")
+        config = SynthesisConfig(engine="batched-icp")
         data = synthesis_config_to_dict(config)
-        assert data["engine"] == "vectorized"
-        assert synthesis_config_from_dict(data).engine == "vectorized"
+        assert data["engine"] == "batched-icp"
+        assert synthesis_config_from_dict(data).engine == "batched-icp"
 
     def test_engine_object_flattens_to_name(self):
         config = dataclasses.replace(
-            SynthesisConfig(), engine=get_engine("parallel-smt")
+            SynthesisConfig(), engine=get_engine("portfolio")
         )
         data = synthesis_config_to_dict(config)
-        assert data["engine"] == "parallel-smt"
+        assert data["engine"] == "portfolio"
 
     def test_legacy_dict_without_engine_defaults_native(self):
         data = synthesis_config_to_dict(SynthesisConfig())

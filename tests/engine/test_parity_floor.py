@@ -1,16 +1,15 @@
 """Fast tier-1 cross-engine parity floor over all builtin scenarios.
 
-A local, <2-minute subset of the CI shard-parity job: every builtin
-scenario runs under the full engine matrix — native, batched-icp,
-sharded-icp at 1 and 2 shards, portfolio (degraded, no binaries) — and
+Every builtin scenario runs under each builtin engine — native,
+batched-icp, portfolio (degraded, no binaries) — and
 
 * every engine returns the same **status**, and
-* the exact-degrade trio (batched / sharded / portfolio) returns the
-  same **artifact** field-for-field (minus timing).
+* the exact-degrade pair (batched-icp / portfolio) returns the same
+  **artifact** field-for-field (minus timing).
 
-Cartpole uses the same deterministic trim as the sharded/portfolio
-parity suites; each (scenario, engine) pair runs exactly once via a
-module-level cache, so the whole floor costs one run per cell.
+Cartpole uses a deterministic trim; each (scenario, engine) pair runs
+exactly once via a module-level cache, so the whole floor costs one run
+per cell.
 """
 
 from __future__ import annotations
@@ -22,26 +21,15 @@ import pytest
 from repro import api
 from repro.api import get_scenario, scenario_names
 from repro.corpus.fuzz import VOLATILE_FIELDS
-from repro.smt.icp_sharded import fork_available
 
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="sharded ICP needs fork"
-)
-
-#: (engine name, shard count or None) — the parity-floor matrix
-ENGINE_VARIANTS = (
-    ("native", None),
-    ("batched-icp", None),
-    ("sharded-icp", 1),
-    ("sharded-icp", 2),
-    ("portfolio", None),
-)
+#: the parity-floor matrix
+ENGINES = ("native", "batched-icp", "portfolio")
 
 _cache: dict = {}
 
 
-def _floor_config(name, shards=None):
-    """Deterministic-trim idiom shared with the sharded parity suite."""
+def _floor_config(name):
+    """The scenario's config, with cartpole trimmed to a fast budget."""
     config = get_scenario(name).config
     if name == "cartpole":
         config = dataclasses.replace(
@@ -57,21 +45,14 @@ def _floor_config(name, shards=None):
                 config.icp, time_limit=None, max_boxes=5000
             ),
         )
-    if shards is not None:
-        config = dataclasses.replace(
-            config, icp=dataclasses.replace(config.icp, shards=shards)
-        )
     return config
 
 
-def _artifact_dict(name, engine, shards=None):
-    key = (name, engine, shards)
+def _artifact_dict(name, engine):
+    key = (name, engine)
     if key not in _cache:
         artifact = api.run(
-            name,
-            config=_floor_config(name, shards),
-            engine=engine,
-            cache=False,
+            name, config=_floor_config(name), engine=engine, cache=False
         )
         data = artifact.to_dict()
         for volatile in VOLATILE_FIELDS:
@@ -81,26 +62,16 @@ def _artifact_dict(name, engine, shards=None):
     return _cache[key]
 
 
-@needs_fork
 @pytest.mark.parametrize("name", scenario_names())
 def test_statuses_agree_across_the_matrix(name):
     statuses = {
-        f"{engine}@{shards}" if shards else engine: _artifact_dict(
-            name, engine, shards
-        )["status"]
-        for engine, shards in ENGINE_VARIANTS
+        engine: _artifact_dict(name, engine)["status"] for engine in ENGINES
     }
     assert len(set(statuses.values())) == 1, statuses
 
 
-@needs_fork
 @pytest.mark.parametrize("name", scenario_names())
 def test_exact_degrade_trio_matches_field_for_field(name):
-    batched = _artifact_dict(name, "batched-icp")
-    for engine, shards in ENGINE_VARIANTS:
-        if engine not in ("sharded-icp", "portfolio"):
-            continue
-        candidate = _artifact_dict(name, engine, shards)
-        assert candidate == batched, (
-            f"{engine}@{shards} diverged from batched-icp on {name}"
-        )
+    assert _artifact_dict(name, "portfolio") == _artifact_dict(
+        name, "batched-icp"
+    ), f"portfolio diverged from batched-icp on {name}"

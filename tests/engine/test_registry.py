@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import (
+    BatchedSmtBackend,
     Engine,
     LpBackend,
     NativeLpBackend,
     NativeSimBackend,
-    ParallelSmtBackend,
     SerialSmtBackend,
     SimBackend,
     SmtBackend,
@@ -26,7 +26,7 @@ from repro.errors import ReproError
 
 class TestBuiltins:
     def test_three_builtins_registered(self):
-        assert set(engine_names()) >= {"native", "vectorized", "parallel-smt"}
+        assert set(engine_names()) >= {"native", "batched-icp", "portfolio"}
 
     def test_list_is_sorted(self):
         names = [e.name for e in list_engines()]
@@ -38,16 +38,19 @@ class TestBuiltins:
         assert isinstance(native.lp, NativeLpBackend)
         assert isinstance(native.smt, SerialSmtBackend)
 
-    def test_vectorized_swaps_only_sim(self):
-        vectorized = get_engine("vectorized")
-        assert isinstance(vectorized.sim, VectorizedSimBackend)
-        assert isinstance(vectorized.lp, NativeLpBackend)
-        assert isinstance(vectorized.smt, SerialSmtBackend)
+    def test_batched_icp_swaps_sim_and_smt(self):
+        batched = get_engine("batched-icp")
+        assert isinstance(batched.sim, VectorizedSimBackend)
+        assert isinstance(batched.lp, NativeLpBackend)
+        assert isinstance(batched.smt, BatchedSmtBackend)
 
-    def test_parallel_smt_swaps_only_smt(self):
-        parallel = get_engine("parallel-smt")
-        assert isinstance(parallel.sim, NativeSimBackend)
-        assert isinstance(parallel.smt, ParallelSmtBackend)
+    def test_portfolio_swaps_only_smt(self):
+        from repro.solvers import PortfolioSmtBackend
+
+        portfolio = get_engine("portfolio")
+        assert isinstance(portfolio.sim, VectorizedSimBackend)
+        assert isinstance(portfolio.lp, NativeLpBackend)
+        assert isinstance(portfolio.smt, PortfolioSmtBackend)
 
     def test_backends_satisfy_protocols(self):
         for engine in list_engines():
@@ -107,10 +110,10 @@ class TestResolve:
         assert resolve_engine(None).name == "native"
 
     def test_name_resolves(self):
-        assert resolve_engine("vectorized").name == "vectorized"
+        assert resolve_engine("batched-icp").name == "batched-icp"
 
     def test_engine_object_passes_through(self):
-        engine = get_engine("parallel-smt")
+        engine = get_engine("portfolio")
         assert resolve_engine(engine) is engine
 
     def test_bad_type_rejected(self):

@@ -95,9 +95,9 @@ class TestLeaseExclusivity:
 class TestForkSafety:
     """The post-fork hook: children never alias parent workspaces.
 
-    The sharded ICP engine forks workers while the master may hold
-    live leases (and populated free lists) from warming its kernel
-    plans — exactly the mid-checkout state these tests freeze.
+    Fork-started pool workers are born while the master may hold live
+    leases (and populated free lists) from warming its kernel plans —
+    exactly the mid-checkout state these tests freeze.
     """
 
     def _run_in_fork(self, child) -> None:

@@ -133,4 +133,4 @@ class TestCampaign:
 
     def test_scenario_rotation_covers_the_catalog(self):
         assert len(set(CHAOS_SCENARIOS)) == len(CHAOS_SCENARIOS)
-        assert set(CHAOS_SCENARIOS) >= {"shard-kill", "pool-kill", "store-torn"}
+        assert set(CHAOS_SCENARIOS) >= {"pool-kill", "solver-hang", "store-torn"}

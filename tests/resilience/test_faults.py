@@ -42,13 +42,13 @@ class TestFire:
         assert faults.fired_faults() == []
 
     def test_fires_at_scheduled_hit_only(self):
-        plan = FaultPlan((FaultAction("shard.worker", "kill", at=2),))
+        plan = FaultPlan((FaultAction("pool.worker", "kill", at=2),))
         faults.install_plan(plan)
-        assert faults.fire("shard.worker") is None
-        assert faults.fire("shard.worker") is None
-        action = faults.fire("shard.worker")
+        assert faults.fire("pool.worker") is None
+        assert faults.fire("pool.worker") is None
+        action = faults.fire("pool.worker")
         assert action is not None and action.kind == "kill"
-        assert faults.fire("shard.worker") is None
+        assert faults.fire("pool.worker") is None
 
     def test_count_covers_consecutive_hits(self):
         plan = FaultPlan((FaultAction("solver.spawn", "error", at=1, count=2),))

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
-from repro.errors import ReproError, WorkerDied
+from repro.errors import ReproError
 from repro.resilience.ladder import (
     degradation_path,
     fallback_engine,
@@ -21,9 +23,9 @@ def _clean_incidents():
 
 
 class TestPaths:
-    def test_sharded_walks_to_native(self):
-        assert degradation_path("sharded-icp") == (
-            "sharded-icp",
+    def test_portfolio_walks_to_native(self):
+        assert degradation_path("portfolio") == (
+            "portfolio",
             "batched-icp",
             "native",
         )
@@ -39,36 +41,36 @@ class TestPaths:
 class TestRunWithDegradation:
     def test_no_failure_no_degradation(self):
         calls = []
-        result = run_with_degradation(lambda e: calls.append(e) or e, "sharded-icp")
-        assert result == "sharded-icp"
-        assert calls == ["sharded-icp"]
+        result = run_with_degradation(lambda e: calls.append(e) or e, "portfolio")
+        assert result == "portfolio"
+        assert calls == ["portfolio"]
         assert incidents("engine.degrade") == []
 
     def test_machinery_loss_steps_down_and_records(self):
         def fn(engine):
-            if engine == "sharded-icp":
-                raise WorkerDied("shard 1 died")
+            if engine == "portfolio":
+                raise BrokenProcessPool("worker 1 died")
             return engine
 
-        assert run_with_degradation(fn, "sharded-icp") == "batched-icp"
+        assert run_with_degradation(fn, "portfolio") == "batched-icp"
         log = incidents("engine.degrade")
         assert len(log) == 1
-        assert "sharded-icp -> batched-icp" in log[0]["detail"]
+        assert "portfolio -> batched-icp" in log[0]["detail"]
 
     def test_walks_all_the_way_down(self):
         def fn(engine):
             if engine != "native":
-                raise WorkerDied(engine)
+                raise BrokenProcessPool(engine)
             return engine
 
-        assert run_with_degradation(fn, "sharded-icp") == "native"
+        assert run_with_degradation(fn, "portfolio") == "native"
         assert len(incidents("engine.degrade")) == 2
 
     def test_bottom_rung_loss_propagates(self):
         def fn(engine):
-            raise WorkerDied("nothing left")
+            raise BrokenProcessPool("nothing left")
 
-        with pytest.raises(WorkerDied):
+        with pytest.raises(BrokenProcessPool):
             run_with_degradation(fn, "native")
 
     def test_non_machinery_errors_propagate_unchanged(self):
@@ -76,7 +78,7 @@ class TestRunWithDegradation:
             raise ReproError("the problem itself is bad")
 
         with pytest.raises(ReproError, match="the problem itself"):
-            run_with_degradation(fn, "sharded-icp")
+            run_with_degradation(fn, "portfolio")
         assert incidents("engine.degrade") == []
 
 
@@ -108,10 +110,10 @@ class TestEndToEndParity:
 
         def fn(engine):
             attempts.append(engine)
-            if engine == "sharded-icp":
-                raise WorkerDied("injected machinery loss")
+            if engine == "portfolio":
+                raise BrokenProcessPool("injected machinery loss")
             return api.run(scenario, config=config, engine=engine, cache=False)
 
-        degraded = run_with_degradation(fn, "sharded-icp")
-        assert attempts == ["sharded-icp", "batched-icp"]
+        degraded = run_with_degradation(fn, "portfolio")
+        assert attempts == ["portfolio", "batched-icp"]
         assert stripped(degraded) == stripped(direct)

@@ -91,13 +91,13 @@ class TestJobSpec:
             target="dubins",
             grid={"speed": "1:2:2", "nn_width": [8, 10]},
             seed=7,
-            engine="vectorized",
+            engine="batched-icp",
         )
         again = JobSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again.target == "dubins"
         assert again.grid == {"speed": "1:2:2", "nn_width": [8, 10]}
         assert again.seed == 7
-        assert again.engine == "vectorized"
+        assert again.engine == "batched-icp"
 
     def test_needs_target(self):
         with pytest.raises(ReproError, match="target"):

@@ -11,7 +11,7 @@ from repro import api
 from repro.api.family import get_family
 from repro.api.scenario import register_scenario, unregister_scenario
 from repro.errors import ReproError
-from repro.service import EventBus, JobState, Scheduler
+from repro.service import EventBus, Job, JobJournal, JobSpec, JobState, Scheduler
 from repro.service import scheduler as scheduler_module
 from repro.store import ArtifactStore
 
@@ -375,6 +375,34 @@ class TestRecovery:
 
         # The journal itself replays to the same final state.
         assert second.journal.replay()[job_id].state is JobState.DONE
+
+    def test_unresolvable_engine_recovers_as_failed(self, store):
+        """A journaled job naming an engine that no longer exists (e.g.
+        one removed between releases) fails on replay instead of
+        blocking recovery, and the scheduler keeps serving."""
+        journal = JobJournal(store.root / "service" / scheduler_module.JOURNAL_NAME)
+        stale = Job(
+            id="stale-engine-job",
+            spec=JobSpec(
+                target="linear", grid={"damping": [0.5]}, engine="sharded-icp"
+            ),
+            points=["linear[damping=0.5]"],
+            params=[{"damping": 0.5}],
+            keys=["ab" + "0" * 62],
+            artifacts=[None],
+        )
+        journal.record_submit(stale)
+
+        scheduler = make_scheduler(store, journal=True)
+        try:
+            assert scheduler.recover() == []
+            failed = scheduler.job(stale.id)
+            assert failed.state is JobState.FAILED
+            assert failed.error.startswith("recovery failed:")
+            job = scheduler.submit({"target": "linear", "grid": GRID})
+            assert wait_terminal(scheduler, job.id).state is JobState.DONE
+        finally:
+            scheduler.shutdown(wait=True)
 
     def test_recover_without_journal_is_noop(self, store):
         scheduler = make_scheduler(store)

@@ -102,6 +102,38 @@ class TestRunKey:
         assert json.loads(json.dumps(fp)) == fp
         assert fp["identity"]["family"] == "linear"
 
+    @pytest.mark.parametrize(
+        "build, engine, expected",
+        [
+            (
+                lambda: api.get_scenario("linear"),
+                "native",
+                "abceddd9bcbb6f3198edadf6755a7076fd8666577a49dd432e2ccd017294fd32",
+            ),
+            (
+                lambda: api.get_scenario("dubins"),
+                "batched-icp",
+                "6bf10637f6ea695c90b9b296c44a8c85d8ea68ed41a7c7424625c621013a5812",
+            ),
+            (
+                lambda: api.get_family("cartpole").instantiate(),
+                "batched-icp",
+                "777b12dbf8e6ff566669c0e866762d46150139f088165304618068ff0c3c4a4d",
+            ),
+            (
+                lambda: api.get_family("dubins").instantiate(),
+                "portfolio",
+                "530579ab61d77e2eec4b2da5c858a717179a4e6a07d97075c72a47ec41780825",
+            ),
+        ],
+        ids=["linear-native", "dubins-batched", "cartpole-family", "dubins-family"],
+    )
+    def test_pinned_keys_stay_valid(self, build, engine, expected):
+        """Existing stores stay warm: these literal keys must not move
+        unless ``FINGERPRINT_VERSION`` is bumped on purpose."""
+        scenario = build()
+        assert run_key(scenario, scenario.config, engine) == expected
+
 
 # ----------------------------------------------------------------------
 # Store mechanics

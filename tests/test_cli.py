@@ -43,15 +43,15 @@ class TestParser:
     def test_engine_flags_parse(self):
         assert (
             build_parser()
-            .parse_args(["verify", "--engine", "vectorized"])
+            .parse_args(["verify", "--engine", "batched-icp"])
             .engine
-            == "vectorized"
+            == "batched-icp"
         )
         assert (
             build_parser()
-            .parse_args(["table1", "--engine", "parallel-smt"])
+            .parse_args(["table1", "--engine", "portfolio"])
             .engine
-            == "parallel-smt"
+            == "portfolio"
         )
 
 
@@ -259,7 +259,7 @@ class TestEngineCommands:
         code = main(["engines"])
         out = capsys.readouterr().out
         assert code == 0
-        for name in ("native", "vectorized", "parallel-smt"):
+        for name in ("native", "batched-icp", "portfolio"):
             assert name in out
         assert out.rstrip().endswith("engines registered")
 
@@ -271,22 +271,34 @@ class TestEngineCommands:
         assert code == 0
         payload = json.loads(out)
         by_name = {entry["name"]: entry for entry in payload}
-        assert {"native", "vectorized", "parallel-smt"} <= set(by_name)
-        assert by_name["vectorized"]["sim"] == "VectorizedSimBackend"
-        assert by_name["parallel-smt"]["smt"] == "ParallelSmtBackend"
+        assert {"native", "batched-icp", "portfolio"} <= set(by_name)
+        assert by_name["batched-icp"]["sim"] == "VectorizedSimBackend"
+        assert by_name["batched-icp"]["smt"] == "BatchedSmtBackend"
+
+    def test_exactly_three_builtin_engines(self, capsys):
+        import json
+
+        from repro.errors import ReproError
+
+        assert main(["engines", "--json"]) == 0
+        names = [entry["name"] for entry in json.loads(capsys.readouterr().out)]
+        assert names == ["batched-icp", "native", "portfolio"]
+        for removed in ("sharded-icp", "parallel-smt", "vectorized"):
+            with pytest.raises(ReproError, match="unknown engine"):
+                main(["verify", "--scenario", "linear", "--engine", removed])
 
     def test_verify_with_engine(self, capsys, tmp_path):
         from repro.api import RunArtifact
 
         out_file = tmp_path / "vec.json"
         code = main(
-            ["verify", "--scenario", "linear", "--engine", "vectorized",
+            ["verify", "--scenario", "linear", "--engine", "batched-icp",
              "--json", str(out_file)]
         )
         capsys.readouterr()
         assert code == 0
         artifact = RunArtifact.from_json(out_file.read_text())
-        assert artifact.engine == "vectorized"
+        assert artifact.engine == "batched-icp"
         assert artifact.verified
 
     def test_verify_unknown_engine(self):
@@ -300,13 +312,13 @@ class TestEngineCommands:
 
         out_file = tmp_path / "batch.json"
         code = main(
-            ["batch", "linear", "--workers", "1", "--engine", "parallel-smt",
+            ["batch", "linear", "--workers", "1", "--engine", "batched-icp",
              "--seed", "5", "--json", str(out_file)]
         )
         capsys.readouterr()
         assert code == 0
         (entry,) = json.loads(out_file.read_text())
-        assert entry["engine"] == "parallel-smt"
+        assert entry["engine"] == "batched-icp"
         from repro.api import derive_scenario_seed
 
         assert entry["config"]["seed"] == derive_scenario_seed(5, "linear")
