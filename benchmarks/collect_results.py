@@ -1,16 +1,19 @@
 #!/usr/bin/env python
 """Aggregate the scattered ``BENCH_*.json`` files into one summary.
 
-Every benchmark writes its own machine-readable artifact under
-``benchmarks/results/`` (``BENCH_icp.json``, ``BENCH_sweep.json``,
+Every benchmark writes its own machine-readable artifact under the
+results directory (``BENCH_icp.json``, ``BENCH_sweep.json``,
 ``BENCH_engines.json``, ``BENCH_synthesis.json``, ...).  This collector
 merges them into a single ``BENCH_summary.json`` with a flat
 ``headline`` section of the numbers worth tracking PR-over-PR, so the
 perf trajectory is one file to diff instead of four.
 
-Run directly (``python benchmarks/collect_results.py``) or let the
-benchmark suite's final test regenerate it; CI uploads the result next
-to the per-benchmark artifacts.
+Run directly (``python benchmarks/collect_results.py [DIR]``) or let
+the benchmark suite's final test regenerate it; CI uploads the result
+next to the per-benchmark artifacts.  ``DIR`` defaults to the
+git-ignored ``benchmarks/out/`` a plain test run writes; the
+tracked record in ``benchmarks/results/`` is refreshed only by
+``pytest benchmarks/ --update-results``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,10 @@ import json
 import sys
 from pathlib import Path
 
+#: the tracked record, written only under ``--update-results``
 RESULTS_DIR = Path(__file__).parent / "results"
+#: where test runs write by default (git-ignored)
+LATEST_DIR = Path(__file__).parent / "out"
 SUMMARY_NAME = "BENCH_summary.json"
 
 
@@ -31,7 +37,7 @@ def _dig(data: dict, *path, default=None):
     return data
 
 
-def collect(results_dir: Path = RESULTS_DIR) -> dict:
+def collect(results_dir: Path = LATEST_DIR) -> dict:
     """Merge every ``BENCH_*.json`` under ``results_dir`` into one dict."""
     benchmarks: dict[str, object] = {}
     for path in sorted(results_dir.glob("BENCH_*.json")):
@@ -79,7 +85,7 @@ def collect(results_dir: Path = RESULTS_DIR) -> dict:
     }
 
 
-def write_summary(results_dir: Path = RESULTS_DIR) -> Path:
+def write_summary(results_dir: Path = LATEST_DIR) -> Path:
     """Write ``BENCH_summary.json`` and return its path."""
     summary = collect(results_dir)
     target = results_dir / SUMMARY_NAME
@@ -89,7 +95,7 @@ def write_summary(results_dir: Path = RESULTS_DIR) -> Path:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    results_dir = Path(argv[0]) if argv else RESULTS_DIR
+    results_dir = Path(argv[0]) if argv else LATEST_DIR
     target = write_summary(results_dir)
     summary = json.loads(target.read_text())
     print(f"wrote {target} ({len(summary['benchmarks'])} benchmarks)")

@@ -65,6 +65,9 @@ class RunArtifact:
     levelset_iterations: int = 0
     traces_used: int = 0
     counterexamples: int = 0
+    #: how many of those the check-(5) screen found by sampling rather
+    #: than the SMT solver (0 when read from an older artifact)
+    screened_counterexamples: int = 0
     lp_seconds: float = 0.0
     query_seconds: float = 0.0
     generator_seconds: float = 0.0
@@ -172,6 +175,7 @@ def _artifact_from_run(
         levelset_iterations=report.levelset_iterations,
         traces_used=report.traces_used,
         counterexamples=len(report.counterexamples),
+        screened_counterexamples=report.counterexample_via.count("sample"),
         lp_seconds=report.lp_seconds,
         query_seconds=report.query_seconds,
         generator_seconds=report.generator_seconds,

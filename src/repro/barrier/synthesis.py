@@ -4,9 +4,14 @@
 
 1. **Seed simulations** ``Φs`` from random initial states in the domain.
 2. **Solve LP** for a candidate generator function ``W``.
-3. **SMT check (5)** — the Lie-derivative condition over ``D \\ X0``.
+3. **Check (5)** — the Lie-derivative condition over ``D \\ X0``,
+   falsify before prove: ``SCREEN_SAMPLES`` sampled points are tried
+   first, and the best one is a δ-SAT witness when it satisfies the
+   δ-weakened constraint; only otherwise does the SMT solver search.
    A δ-SAT witness becomes a counterexample: simulate ``Φf`` from it,
    add the trace to the constraint pool, re-solve the LP, repeat.
+   The screen only ever answers δ-SAT, so every UNSAT — and so every
+   proven certificate — still comes from the solver.
 4. **Level set** — closed-form bounds, then SMT checks (6) & (7) with a
    binary search over the level on failure.
 5. On success, halt with a proven :class:`BarrierCertificate`.
@@ -33,7 +38,7 @@ import numpy as np
 
 from ..errors import InfeasibleLPError, LevelSetError, SynthesisError
 from ..sim import Trace, sample_uniform
-from ..smt import IcpConfig, SmtResult, Verdict
+from ..smt import IcpConfig, SmtResult, Subproblem, Verdict
 from .certificate import (
     BarrierCertificate,
     VerificationProblem,
@@ -51,6 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 __all__ = [
     "PIPELINE_STAGES",
+    "SCREEN_SAMPLES",
     "StageEvent",
     "StageObserver",
     "SynthesisStatus",
@@ -64,6 +70,14 @@ __all__ = [
 #: ``lp-fit`` (candidate generation), ``smt-check`` (check (5)),
 #: ``level-set`` (level selection incl. checks (6)/(7)).
 PIPELINE_STAGES = ("seed-sim", "lp-fit", "smt-check", "level-set")
+
+#: sampled points tried on check (5) before the SMT solver (0 disables
+#: the screen); a module constant, not a config field, so run keys and
+#: configs do not depend on it
+SCREEN_SAMPLES = 4096
+#: rows x tape slots per generated-evaluator call: bounds the screen's
+#: live intermediates at 8 MB even for thousand-neuron controllers
+_SCREEN_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -161,6 +175,9 @@ class SynthesisReport:
     stage_seconds: dict[str, float] = field(default_factory=dict)
     traces_used: int = 0
     counterexamples: list[np.ndarray] = field(default_factory=list)
+    #: how each counterexample was found: ``"sample"`` (the check-(5)
+    #: screen) or ``"icp"`` (the SMT solver), parallel to counterexamples
+    counterexample_via: list[str] = field(default_factory=list)
     #: final verdicts of the three conditions (None if never reached)
     final_check5: SmtResult | None = None
     final_check6: SmtResult | None = None
@@ -308,10 +325,8 @@ def verify_system(
 
         with stage("smt-check", iteration):
             query_t0 = time.perf_counter()
-            result5 = engine_obj.smt.check(
-                condition5_subproblems(candidate.expression, problem, config.gamma),
-                names,
-                config.icp,
+            result5, via = _check_condition5(
+                candidate, problem, config, engine_obj, iteration
             )
             report.query_seconds += time.perf_counter() - query_t0
         report.final_check5 = result5
@@ -325,6 +340,7 @@ def verify_system(
         # δ-SAT: counterexample -> new trace Φf -> refined LP.
         witness = result5.witness
         report.counterexamples.append(witness)
+        report.counterexample_via.append(via)
         with stage("seed-sim", iteration):
             traces.append(_simulate_from(problem, witness, config, engine_obj))
         report.traces_used = len(traces)
@@ -441,16 +457,96 @@ def _try_lyapunov_candidate(
     except SynthesisError:
         return None
     query_t0 = time.perf_counter()
-    result = engine.smt.check(
-        condition5_subproblems(candidate.expression, problem, config.gamma),
-        problem.state_names,
-        config.icp,
-    )
+    result, _ = _check_condition5(candidate, problem, config, engine, iteration=0)
     report.query_seconds += time.perf_counter() - query_t0
     report.final_check5 = result
     if result.verdict is Verdict.UNSAT:
         return candidate
     return None
+
+
+def _check_condition5(
+    candidate: GeneratorCandidate,
+    problem: VerificationProblem,
+    config: SynthesisConfig,
+    engine: "Engine",
+    iteration: int,
+) -> tuple[SmtResult, str]:
+    """Check (5) for ``candidate``: the sampled screen, then the solver.
+
+    Returns the verdict and which path produced it (``"sample"`` or
+    ``"icp"``).
+    """
+    subproblems = condition5_subproblems(candidate.expression, problem, config.gamma)
+    names = problem.state_names
+    screened = _screen_condition5(subproblems, names, config, iteration)
+    if screened is not None:
+        return screened, "sample"
+    return engine.smt.check(subproblems, names, config.icp), "icp"
+
+
+def _screen_condition5(
+    subproblems: list[Subproblem],
+    names: list[str],
+    config: SynthesisConfig,
+    iteration: int,
+) -> SmtResult | None:
+    """Falsify before prove: a δ-SAT answer to check (5) from samples.
+
+    Draws ``SCREEN_SAMPLES`` points over the subproblems' boxes
+    (``D \\ X0``), each box's count in proportion to its volume and
+    Latin-hypercube stratified inside the box, from a generator of its
+    own seeded by ``(config.seed, iteration)`` — the synthesis generator
+    is never touched.  ``∇W·f + γ`` is evaluated through the constraint
+    tape's generated point function, and the point where it is largest
+    is returned as a validated δ-SAT witness when it satisfies the
+    constraint relaxed by δ: the same test ICP applies to its own
+    witnesses, and δ-complete semantics allows a δ-SAT answer wherever
+    the δ-weakened formula holds.  Otherwise returns None and the solver
+    decides; the screen never answers UNSAT or UNKNOWN.
+    """
+    if SCREEN_SAMPLES <= 0 or not subproblems:
+        return None
+    # Every subproblem carries the one shared constraint ∇W·f + γ >= 0,
+    # so the point with the most slack is the one with the largest value.
+    (constraint,) = subproblems[0].constraints
+    bounds = np.stack([sub.region.to_array() for sub in subproblems])
+    lower, upper = bounds[:, :, 0], bounds[:, :, 1]
+    volumes = np.prod(upper - lower, axis=1)
+    total = volumes.sum()
+    if not np.isfinite(total) or total <= 0.0:
+        return None
+    # Largest-remainder split: each box's volume share of the budget,
+    # rounded so the counts sum to SCREEN_SAMPLES.
+    quota = SCREEN_SAMPLES * volumes / total
+    counts = np.floor(quota).astype(int)
+    short = SCREEN_SAMPLES - int(counts.sum())
+    counts[np.argsort(counts - quota, kind="stable")[:short]] += 1
+    rng = np.random.default_rng((config.seed, iteration))
+    points = np.vstack([
+        lo + (hi - lo) * _latin_hypercube(rng, count, len(lo))
+        for lo, hi, count in zip(lower, upper, counts)
+    ])
+
+    tape = constraint.compiled(names)
+    evaluate = tape.point_function()
+    rows = max(1, _SCREEN_CELLS // tape.n_slots)
+    values = np.concatenate(
+        [evaluate(points[i:i + rows]) for i in range(0, SCREEN_SAMPLES, rows)]
+    )
+    best = points[int(np.argmax(np.where(np.isnan(values), -np.inf, values)))].copy()
+    delta = config.icp.delta
+    if not constraint.satisfied_at(best, names, slack=delta):
+        return None
+    return SmtResult(Verdict.DELTA_SAT, delta, witness=best, witness_validated=True)
+
+
+def _latin_hypercube(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` points in the unit cube whose every 1-D projection has
+    exactly one point per ``1/count`` stratum: for a fixed budget they
+    cover each axis more evenly than independent uniform draws."""
+    strata = np.argsort(rng.random((count, n)), axis=0)
+    return (strata + rng.random((count, n))) / count
 
 
 def _unsafe_boundary_samples(

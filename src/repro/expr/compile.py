@@ -71,6 +71,7 @@ class CompiledExpression:
         self._n_slots = 0
         self._result_slot = 0
         self._kernel = None
+        self._point_function = None
         self._build(root)
 
     # ------------------------------------------------------------------
@@ -152,12 +153,30 @@ class CompiledExpression:
             self._kernel = _kernel_module().KernelPlan(self)
         return self._kernel
 
+    def point_function(self):
+        """The tape as one generated straight-line function (cached).
+
+        ``F(X) -> (m,)`` over an ``(m, n_vars)`` array, built on first use
+        by :class:`repro.expr.codegen.SourceBuilder` and bit-identical to
+        the interpreter path of :meth:`eval_points`.  Unlike a
+        :class:`~repro.perf.KernelPlan` it keeps no per-row workspace
+        alive between calls.
+        """
+        if self._point_function is None:
+            from .codegen import SourceBuilder  # codegen imports this module
+
+            builder = SourceBuilder()
+            self._point_function = builder.build(builder.tape(self))
+        return self._point_function
+
     def __getstate__(self) -> dict:
         # Kernel plans hold prebound closures and thread-local buffer
-        # pools — process-local state.  Drop them on pickling (workers
-        # rebuild plans on first evaluation).
+        # pools, and generated functions live in an ``exec`` namespace —
+        # process-local state.  Drop both on pickling (workers rebuild
+        # them on first evaluation).
         state = self.__dict__.copy()
         state["_kernel"] = None
+        state["_point_function"] = None
         return state
 
     # ------------------------------------------------------------------

@@ -56,7 +56,8 @@ class SmtResult:
     """Verdict plus witness and statistics.
 
     ``witness`` is a point (box midpoint) for ``DELTA_SAT`` verdicts and
-    None otherwise; ``witness_box`` is the surviving box around it.
+    None otherwise; ``witness_box`` is the surviving box around it (None
+    for a witness found by sampling rather than by branch-and-prune).
     ``witness_validated`` records whether the witness point numerically
     satisfies every constraint relaxed by δ.
     """

@@ -82,8 +82,10 @@ CACHE_ENV = "REPRO_CACHE"
 #: levels in their last bits; 3: so can solving the LP by row
 #: generation, within HiGHS's 1e-7 feasibility tolerance: ~1e-14 on the
 #: coefficients of most fits, 6e-8 where the full solve's optimum sat
-#: slightly outside a row)
-FINGERPRINT_VERSION = 3
+#: slightly outside a row; 4: check (5) answers from sampled points
+#: before ICP, so CEGIS counterexamples and the artifacts' new
+#: ``screened_counterexamples`` field differ)
+FINGERPRINT_VERSION = 4
 
 #: ``.tmp`` leftovers older than this are treated as crashed writers'
 #: debris and swept by :meth:`ArtifactStore.collect_garbage` (and by

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -77,6 +78,9 @@ POINTS = np.array(
         [np.nan, 2.0],
     ]
 )
+
+#: the rows of POINTS no op warns on
+FINITE = POINTS[:3]
 
 
 def _interpreted(tapes, points):
@@ -179,3 +183,19 @@ class TestSourceBuilder:
         scale = builder.bind(np.array([2.0, -1.0]), prefix="w")
         field = builder.build(builder.assign(f"X * {scale}"))
         assert _same(field(np.ones((3, 2))), np.tile([2.0, -1.0], (3, 1)))
+
+
+class TestPointFunction:
+    def test_matches_the_interpreter_and_is_cached(self):
+        tape = compile_expression(sin(X) * Y - X**2 / Y, NAMES)
+        function = tape.point_function()
+        assert tape.point_function() is function
+        assert _same(function(FINITE)[:, None], _interpreted([tape], FINITE))
+
+    def test_tape_pickles_after_its_function_was_built(self):
+        tape = compile_expression(tanh(X) + Y * 3.0, NAMES)
+        expected = tape.point_function()(FINITE)
+        restored = pickle.loads(pickle.dumps(tape))
+        assert restored.instructions == tape.instructions
+        assert restored.point_function() is not tape.point_function()
+        assert _same(restored.point_function()(FINITE), expected)

@@ -108,22 +108,22 @@ class TestRunKey:
             (
                 lambda: api.get_scenario("linear"),
                 "native",
-                "abceddd9bcbb6f3198edadf6755a7076fd8666577a49dd432e2ccd017294fd32",
+                "e7c999112a607f01e0e0719212ebd438d1ebc3c627cc4362951a2939a448e1a0",
             ),
             (
                 lambda: api.get_scenario("dubins"),
                 "batched-icp",
-                "6bf10637f6ea695c90b9b296c44a8c85d8ea68ed41a7c7424625c621013a5812",
+                "d90b20881e53e9881f293376f983618fec2c02358f6b8c0d56fd01fb3b080a55",
             ),
             (
                 lambda: api.get_family("cartpole").instantiate(),
                 "batched-icp",
-                "777b12dbf8e6ff566669c0e866762d46150139f088165304618068ff0c3c4a4d",
+                "787301098adf5bbfa68f88efbc306492a1ea587567e9de80b4ec780e693121ba",
             ),
             (
                 lambda: api.get_family("dubins").instantiate(),
                 "portfolio",
-                "530579ab61d77e2eec4b2da5c858a717179a4e6a07d97075c72a47ec41780825",
+                "061676e68ca4e7ad8bad0e830e2af8a9bd5fa5df101e80d708d4063dd5cfbe14",
             ),
         ],
         ids=["linear-native", "dubins-batched", "cartpole-family", "dubins-family"],
