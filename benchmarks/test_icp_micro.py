@@ -3,8 +3,10 @@
 Reproduces the Table-1 dubins SMT stage — the condition-(5) Lie-
 derivative check on the fitted candidate plus the level-set checks (6)
 and (7) — and times the ``native`` serial scalar stack against the
-``batched-icp`` SoA stack (one union-seeded ``BoxArray`` frontier with
-frontier-wide vectorized HC4 contraction).
+``batched-icp`` SoA stack (one union-seeded ``BoxArray`` frontier,
+pruned by forward interval passes and bisected).  The two run different
+searches: ``native`` narrows every surviving box with scalar HC4
+contraction, ``batched-icp`` does not contract at all.
 
 Writes ``benchmarks/results/BENCH_icp.json``.  Acceptance bar: the
 batched stack must cut the SMT-stage wall clock by >= 5x while

@@ -272,14 +272,24 @@ def synthesis_config_to_dict(config: SynthesisConfig) -> dict:
     return dataclasses.asdict(config)
 
 
+#: ICP knobs that no longer exist: the batched solver stopped contracting
+#: and the scalar one contracts at fixed settings.  Artifacts, scenario
+#: files and service journals written before that still carry them.
+_RETIRED_ICP_KEYS = ("use_contractor", "contractor_node_limit", "contractor_rounds")
+
+
 def synthesis_config_from_dict(data: dict) -> SynthesisConfig:
-    """Inverse of :func:`synthesis_config_to_dict`."""
+    """Inverse of :func:`synthesis_config_to_dict`.
+
+    Retired ICP keys in older dicts are dropped, so those still load.
+    """
     payload = dict(data)
     lp = payload.pop("lp", None)
     icp = payload.pop("icp", None)
     if lp is not None:
         payload["lp"] = LpConfig(**lp)
     if icp is not None:
+        icp = {k: v for k, v in icp.items() if k not in _RETIRED_ICP_KEYS}
         payload["icp"] = IcpConfig(**icp)
     return SynthesisConfig(**payload)
 

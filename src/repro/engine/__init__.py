@@ -10,8 +10,8 @@ built in:
                   paths (default, and the reference oracle of the
                   fuzz/parity harnesses)
 ``batched-icp``   NumPy batch simulation and the whole δ-SAT frontier in
-                  one :class:`~repro.intervals.BoxArray` with
-                  frontier-wide vectorized HC4 contraction (the fast
+                  one :class:`~repro.intervals.BoxArray`, pruned by
+                  forward interval passes and bisected (the fast
                   in-house SMT path)
 ``portfolio``     external SMT solvers (z3/dreal, via
                   :mod:`repro.solvers`) raced against the ``batched-icp``
@@ -91,8 +91,8 @@ def _register_builtins() -> None:
         Engine(
             name="batched-icp",
             description="Structure-of-arrays branch-and-prune: union-"
-            "seeded BoxArray frontier with frontier-wide vectorized HC4 "
-            "contraction; vectorized simulation, native LP",
+            "seeded BoxArray frontier pruned by forward interval passes "
+            "and bisection; vectorized simulation, native LP",
             sim=VectorizedSimBackend(),
             lp=lp,
             smt=BatchedSmtBackend(),

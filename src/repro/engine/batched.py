@@ -8,8 +8,10 @@ solves them one scalar-frontier search at a time;
 share a constraint system* to
 :meth:`~repro.smt.BatchedIcpSolver.solve_union`, which seeds a single
 :class:`~repro.intervals.BoxArray` frontier with all their regions and
-branch-and-prunes the union with the frontier-wide vectorized HC4
-contractor of :mod:`repro.smt.hc4`.
+branch-and-prunes the union: one forward interval pass per constraint
+prunes each batch, and every survivor is bisected.  Unlike ``native``
+it does not contract boxes (see ``docs/performance.md``, "Why
+batched-icp does not contract").
 
 Verdict combination is the serial semantics: groups are consecutive
 runs, checked in order, first δ-SAT group wins, and inside a group the

@@ -126,9 +126,10 @@ class CompiledExpression:
         Each entry is ``(op, slot, *operands)``: ``("const", slot, value)``,
         ``("var", slot, var_index)``, ``("pow", slot, base_slot, exponent)``,
         unary ``(op, slot, child_slot)``, or binary
-        ``(op, slot, left_slot, right_slot)``.  The frontier-wide HC4
-        contractor (:mod:`repro.smt.hc4`) walks this tape forward and
-        backward instead of re-deriving its own flattening.
+        ``(op, slot, left_slot, right_slot)``.  The kernel planner
+        (:mod:`repro.perf.kernels`) and the code generator
+        (:mod:`repro.expr.codegen`) read this tape instead of re-deriving
+        their own flattening.
         """
         return tuple(self._tape)
 

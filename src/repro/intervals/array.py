@@ -5,9 +5,15 @@ this module is its vectorized twin.  An :class:`IntervalArray` holds a
 whole *batch* of intervals as two ndarrays of endpoints, and a
 :class:`BoxArray` holds an entire ICP frontier as ``(m, n)`` lower/upper
 bound matrices — the same structure-of-arrays move IBEX and dReal make
-in C++.  Every operation runs one NumPy pass over the batch, so the HC4
-contractor (:mod:`repro.smt.hc4`) and the batched branch-and-prune
-solver (:mod:`repro.smt.icp_batched`) never drop back to per-box Python.
+in C++.  Every operation runs one NumPy pass over the batch.  The
+batched branch-and-prune solver (:mod:`repro.smt.icp_batched`) keeps its
+frontier in a :class:`BoxArray` and masks, selects and bisects it
+without dropping back to per-box Python; its interval evaluation is the
+expression tapes' own forward pass
+(:meth:`~repro.expr.CompiledExpression.eval_boxes`).  An
+:class:`IntervalArray` is the batch value type of
+:func:`~repro.expr.evaluate.evaluate_box_array` and
+:meth:`~repro.expr.CompiledExpression.eval_box_array`.
 
 Soundness contract
 ------------------
@@ -28,8 +34,8 @@ real image for every member of the batch:
   random batches).
 
 Unlike the scalar class, an :class:`IntervalArray` may hold *empty*
-members (``lo > hi``, canonically ``[+inf, -inf]``): batched contraction
-needs to keep dead rows in the arrays.  Domain violations that make the
+members (``lo > hi``, canonically ``[+inf, -inf]``), so one dead row
+never aborts the whole batch.  Domain violations that make the
 scalar class raise (``sqrt`` of a negative interval, ``log`` of a
 non-positive one) mark the affected rows empty instead; callers observe
 them through :meth:`IntervalArray.empty_mask`.

@@ -40,8 +40,8 @@ _INF = math.inf
 TRIG_SLACK = 1e-12
 
 #: Relative padding applied by backward (inverse) contractor rules whose
-#: inverses go through transcendental kernels; shared by the scalar and
-#: frontier-vectorized HC4 implementations.
+#: inverses go through transcendental kernels (the scalar HC4 of
+#: :mod:`repro.smt.contractor`).
 PAD = 1e-12
 
 

@@ -1,16 +1,18 @@
 """Kernel compilation and profiling: the synthesis loop's fast path.
 
 This package closes the gap between the vectorized interval core
-(:mod:`repro.intervals.array`, :mod:`repro.smt.hc4`) and the Python
-shell around it:
+(:mod:`repro.intervals.array`, :mod:`repro.smt.icp_batched`) and the
+Python shell around it:
 
 * :mod:`repro.perf.kernels` — expression tapes pre-planned into flat
   ndarray programs (integer opcodes, constant tables, prebound
   instruction closures) with pooled workspaces, so
   :meth:`~repro.expr.CompiledExpression.eval_boxes` /
-  :meth:`~repro.expr.CompiledExpression.eval_points` and the HC4
-  revise sweep run with zero per-call dispatch or buffer allocation.
-  Bit-identical to the interpreted paths; ``REPRO_KERNELS=0`` disables.
+  :meth:`~repro.expr.CompiledExpression.eval_points` run with zero
+  per-call dispatch or buffer allocation.  :class:`KernelPlan` is the
+  whole interval evaluator of the ``batched-icp`` search: its forward
+  pass is the only work that search does per batch.  Bit-identical to
+  the interpreted paths; ``REPRO_KERNELS=0`` disables.
 * :mod:`repro.perf.pool` — the exclusive-checkout workspace pool
   backing every compiled plan.
 * :mod:`repro.perf.profile` — the per-stage latency breakdown behind

@@ -1,13 +1,11 @@
 """Checkout pools of reusable kernel workspaces.
 
-Every kernel execution — a vectorized tape pass in
-:mod:`repro.perf.kernels` or an HC4 revise sweep in
-:mod:`repro.smt.hc4` — needs per-call scratch state: a slot table (one
-entry per tape slot) plus, for box kernels, prefilled constant rows.
-Allocating that state on every call is pure overhead on the narrow
-frontiers real branch-and-prune searches produce, so each compiled plan
-keeps a :class:`BufferPool` of :class:`Workspace` objects and *leases*
-one per call.
+Every vectorized tape pass in :mod:`repro.perf.kernels` needs per-call
+scratch state: a slot table (one entry per tape slot) plus, for box
+kernels, prefilled constant rows.  Allocating that state on every call
+is pure overhead on the narrow frontiers real branch-and-prune searches
+produce, so each compiled plan keeps a :class:`BufferPool` of
+:class:`Workspace` objects and *leases* one per call.
 
 The lease discipline is strict:
 
@@ -19,9 +17,9 @@ The lease discipline is strict:
   a workspace that is not leased is an error (it would let two future
   leases alias).
 * Pools are bucketed by frontier size (next power of two, minimum
-  :data:`MIN_BUCKET`), so a plan revising frontiers of 37, then 61, then
-  44 boxes reuses one 64-wide workspace instead of three exact-size
-  ones.
+  :data:`MIN_BUCKET`), so a plan evaluating frontiers of 37, then 61,
+  then 44 boxes reuses one 64-wide workspace instead of three
+  exact-size ones.
 * Free lists are **per-thread**: the portfolio's race lanes and the
   service's worker threads can run the same plan concurrently without
   locks or sharing.

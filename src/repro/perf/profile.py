@@ -5,10 +5,7 @@ for one verification: per-pipeline-stage seconds (seed-sim / lp-fit /
 smt-check / level-set), the LP-vs-SMT solver split, and — with
 ``compare=True`` — the same run with the kernel layer disabled, i.e.
 the interpreted tape evaluators (bit-identical results, so the
-comparison is pure speed).  Note the switch gates expression
-evaluation only: the HC4 contractor's plan compilation is
-unconditional, so "kernels off" on an HC4-heavy engine is *not* the
-full pre-plan code path.
+comparison is pure speed).
 
 This is the measurement companion of :mod:`repro.perf.kernels`; the
 machine-readable form feeds ``benchmarks/test_synthesis_micro.py``.

@@ -1,16 +1,21 @@
 """δ-satisfiability solving over nonlinear real arithmetic.
 
 This package replaces dReal in the paper's toolchain: a branch-and-prune
-interval constraint propagation (ICP) solver with HC4 contractors that
-returns sound **UNSAT** proofs or **δ-SAT** witnesses for existential
-queries over Type-2 computable functions (polynomials, trigonometry,
-exponentials, sigmoids).
+interval constraint propagation (ICP) solver that returns sound
+**UNSAT** proofs or **δ-SAT** witnesses for existential queries over
+Type-2 computable functions (polynomials, trigonometry, exponentials,
+sigmoids).  Two solvers share one search order:
+
+* :class:`IcpSolver` — the scalar reference: forward-pass pruning plus
+  HC4 contraction (:mod:`repro.smt.contractor`) of every survivor.
+* :class:`BatchedIcpSolver` — the fast path: the whole frontier in one
+  :class:`~repro.intervals.BoxArray`, pruned by one forward interval
+  pass per constraint and bisected, with no contraction.
 """
 
 from .constraint import Constraint, Relation, Status, eq, ge, gt, le, lt
 from .contractor import contract_fixpoint, hc4_revise
 from .formula import And, Atom, Formula, Or, conjunction_of, to_dnf
-from .hc4 import FrontierContractor, contract_frontier
 from .icp import IcpConfig, IcpSolver, solve_conjunction
 from .icp_batched import BatchedIcpSolver, solve_conjunction_batched
 from .queries import Subproblem, check_exists, check_exists_on_boxes
@@ -22,7 +27,6 @@ __all__ = [
     "BatchedIcpSolver",
     "Constraint",
     "Formula",
-    "FrontierContractor",
     "IcpConfig",
     "IcpSolver",
     "Or",
@@ -36,7 +40,6 @@ __all__ = [
     "check_exists_on_boxes",
     "conjunction_of",
     "contract_fixpoint",
-    "contract_frontier",
     "eq",
     "ge",
     "gt",

@@ -11,9 +11,11 @@ nonlinear real constraints:
 
 The frontier is processed in batches through the compiled expression
 tapes (:class:`repro.expr.CompiledExpression`), so pruning hundreds of
-boxes costs one vectorized pass per constraint.  An optional HC4
-contraction pass (:mod:`repro.smt.contractor`) narrows surviving boxes
-before they are bisected.
+boxes costs one vectorized pass per constraint.  An HC4 contraction
+pass (:mod:`repro.smt.contractor`) then narrows each surviving box
+before it is bisected.  This scalar solver is the ``native`` engine's
+reference oracle; the ``batched-icp`` fast path
+(:mod:`repro.smt.icp_batched`) prunes by the forward pass alone.
 """
 
 from __future__ import annotations
@@ -32,6 +34,13 @@ from .result import SmtResult, SolverStats, Verdict
 
 __all__ = ["IcpConfig", "IcpSolver", "solve_conjunction"]
 
+#: fixpoint rounds per HC4 contraction call
+_CONTRACTOR_ROUNDS = 2
+#: skip contraction when a constraint tape exceeds this many
+#: instructions: scalar HC4 on huge NN expressions costs more than the
+#: bisections it saves (the forward pass still prunes)
+_CONTRACTOR_NODE_LIMIT = 512
+
 
 @dataclass
 class IcpConfig:
@@ -48,14 +57,6 @@ class IcpConfig:
         Budget on processed boxes; exceeding it returns UNKNOWN.
     time_limit:
         Wall-clock budget in seconds (None = unlimited).
-    use_contractor:
-        Run HC4 fixpoint contraction on boxes that survive pruning.
-    contractor_node_limit:
-        Skip contraction when a constraint tape exceeds this many
-        instructions (scalar HC4 on huge NN expressions costs more than
-        the bisections it saves; the batched forward pass still prunes).
-    contractor_rounds:
-        Fixpoint rounds per contraction call.
     solver_timeout:
         Hard wall-clock budget in seconds for *external* SMT solver
         processes raced by the ``portfolio`` engine (see
@@ -67,9 +68,6 @@ class IcpConfig:
     batch_size: int = 256
     max_boxes: int = 2_000_000
     time_limit: float | None = None
-    use_contractor: bool = True
-    contractor_node_limit: int = 512
-    contractor_rounds: int = 2
     solver_timeout: float | None = None
 
     def __post_init__(self) -> None:
@@ -116,9 +114,7 @@ class IcpSolver:
             raise SolverError("ICP requires a bounded search region")
 
         tapes = [c.compiled(names) for c in constraints]
-        contract_ok = config.use_contractor and all(
-            len(t) <= config.contractor_node_limit for t in tapes
-        )
+        contract_ok = all(len(t) <= _CONTRACTOR_NODE_LIMIT for t in tapes)
 
         stats = SolverStats()
         start = time.perf_counter()
@@ -207,7 +203,7 @@ class IcpSolver:
                         constraints,
                         box,
                         names,
-                        max_rounds=config.contractor_rounds,
+                        max_rounds=_CONTRACTOR_ROUNDS,
                     )
                     stats.contractions += 1
                     if contracted is None:

@@ -1,20 +1,24 @@
 """Batched branch-and-prune: the whole frontier in one :class:`BoxArray`.
 
 :class:`IcpSolver` keeps its frontier as a Python list of per-box
-arrays and drops to scalar :class:`~repro.intervals.Interval` HC4 for
-contraction — one interpreter walk per box per constraint.
-:class:`BatchedIcpSolver` is the structure-of-arrays rewrite: the
-frontier lives in one contiguous :class:`~repro.intervals.BoxArray`,
-pruning/splitting happen through boolean masks, and the HC4 contraction
-pass (:mod:`repro.smt.hc4`) sweeps *every surviving box at once* with
-per-expression-node interval ndarrays.
+arrays and narrows every survivor with scalar HC4 contraction
+(:mod:`repro.smt.contractor`).  :class:`BatchedIcpSolver` is the
+structure-of-arrays fast path: the frontier lives in one contiguous
+:class:`~repro.intervals.BoxArray`, and each batch costs one forward
+interval pass per constraint (:func:`prune_masks`, through the
+expression tapes' :class:`~repro.perf.KernelPlan`).  Boxes the pass
+refutes are dropped, a box where every constraint certainly holds or
+whose widest side is below δ ends the search, and every other survivor
+is bisected.  There is no contraction step: at the frontier widths the
+search runs, a vectorized HC4 pass costs three to four forward passes
+and saves only about half the boxes (``docs/performance.md``, "Why
+batched-icp does not contract").
 
-The search semantics deliberately mirror the scalar solver decision for
-decision — same depth-first batch order, same pre-/post-contraction
-width checks, same first-hit witness selection — so the two return
-identical verdicts (and witnesses equal up to the documented ulp-level
-widening differences of :mod:`repro.intervals.array`) while the batched
-solver does the contraction work at NumPy speed.
+The search order is the scalar solver's — same depth-first batch
+order, same first-hit witness selection — so with contraction taken
+out of :class:`IcpSolver` the two would return the same witnesses and
+box counts.  With it in, they agree on verdicts and run different
+searches, which makes ``native`` an independent reference oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import numpy as np
 from ..errors import SolverError
 from ..intervals import Box, BoxArray
 from .constraint import Constraint, Status
-from .hc4 import FrontierContractor, contract_frontier
 from .icp import IcpConfig
 from .result import SmtResult, SolverStats, Verdict
 
@@ -122,14 +125,6 @@ class BatchedIcpSolver:
             raise SolverError("ICP requires a bounded search region")
 
         tapes = [c.compiled(names) for c in constraints]
-        contract_ok = config.use_contractor and all(
-            len(t) <= config.contractor_node_limit for t in tapes
-        )
-        contractors = (
-            [FrontierContractor(c, names) for c in constraints]
-            if contract_ok
-            else []
-        )
 
         stats = SolverStats()
         start = time.perf_counter()
@@ -184,97 +179,29 @@ class BatchedIcpSolver:
                 continue
 
             survivors = batch.select(alive_idx)
-            survivor_depths = batch_depths[alive_idx]
-
-            # Pre-contraction width check (raw hi - lo, like the scalar
-            # solver's in-batch test).
-            pre_small = survivors.raw_widths().max(axis=1) <= config.delta
-
-            if contract_ok:
-                # Contract only the rows the scalar scan would reach:
-                # everything before the first pre-small row (the scan
-                # returns there, so later rows are never contracted).
-                if pre_small.any():
-                    first_pre = int(np.argmax(pre_small))
-                else:
-                    first_pre = len(survivors)
-                need = np.zeros(len(survivors), dtype=bool)
-                need[:first_pre] = True
-                contracted, c_alive = contract_frontier(
-                    contractors,
-                    survivors.select(need),
-                    max_rounds=config.contractor_rounds,
-                )
-                stats.contractions += int(need.sum())
-            else:
-                contracted, c_alive = None, None
-
-            # Walk rows in index order so the first witness event matches
-            # the scalar solver's sequential scan.
-            post_small = None
-            if contracted is not None and len(contracted):
-                post_small = contracted.max_widths() <= config.delta
-            contract_row = 0
-            split_rows: list[int] = []  # indices into `contracted`
-            plain_split_rows: list[int] = []  # rows when contraction is off
-            for row in range(len(survivors)):
-                if pre_small[row]:
-                    stats.elapsed_seconds = time.perf_counter() - start
-                    return self._witness_result(
-                        survivors.box_at(row), constraints, names, stats
-                    )
-                if not contract_ok:
-                    plain_split_rows.append(row)
-                    continue
-                crow = contract_row
-                contract_row += 1
-                if not c_alive[crow]:
-                    stats.boxes_pruned += 1
-                    continue
-                if post_small[crow]:
-                    stats.elapsed_seconds = time.perf_counter() - start
-                    return self._witness_result(
-                        contracted.box_at(crow), constraints, names, stats
-                    )
-                split_rows.append(crow)
-
-            # Bisect the remaining rows along their widest dimensions and
-            # push (left, right) pairs in ascending row order — the same
-            # LIFO layout the scalar solver builds box by box.
-            if contract_ok:
-                # split_rows index into `contracted`, whose rows are the
-                # contracted survivors in order; map back for depths.
-                need_idx = np.flatnonzero(need)
-                if split_rows:
-                    sel = np.array(split_rows, dtype=int)
-                    to_split = contracted.select(sel)
-                    split_depths = survivor_depths[need_idx[sel]]
-                else:
-                    to_split = None
-                    split_depths = np.empty(0, dtype=np.int64)
-            else:
-                to_split = (
-                    survivors.select(np.array(plain_split_rows, dtype=int))
-                    if plain_split_rows
-                    else None
-                )
-                split_depths = (
-                    survivor_depths[np.array(plain_split_rows, dtype=int)]
-                    if plain_split_rows
-                    else np.empty(0, dtype=np.int64)
+            small = survivors.raw_widths().max(axis=1) <= config.delta
+            if small.any():
+                stats.elapsed_seconds = time.perf_counter() - start
+                return self._witness_result(
+                    survivors.box_at(int(np.argmax(small))),
+                    constraints,
+                    names,
+                    stats,
                 )
 
-            if to_split is not None and len(to_split):
-                children = _interleave_halves(*to_split.bisect_widest())
-                frontier = (
-                    BoxArray.concatenate([frontier, children])
-                    if len(frontier)
-                    else children
-                )
-                depths = np.concatenate(
-                    [depths, np.repeat(split_depths + 1, 2)]
-                )
-                stats.boxes_split += len(to_split)
+            # Bisect every survivor along its widest dimension and push
+            # (left, right) pairs in ascending row order — the same LIFO
+            # layout the scalar solver builds box by box.
+            children = _interleave_halves(*survivors.bisect_widest())
+            frontier = (
+                BoxArray.concatenate([frontier, children])
+                if len(frontier)
+                else children
+            )
+            depths = np.concatenate(
+                [depths, np.repeat(batch_depths[alive_idx] + 1, 2)]
+            )
+            stats.boxes_split += len(survivors)
 
         stats.elapsed_seconds = time.perf_counter() - start
         return SmtResult(Verdict.UNSAT, self.config.delta, stats=stats)
@@ -292,8 +219,8 @@ class BatchedIcpSolver:
         amortize a vectorized pass.  Here all regions seed a single
         tagged :class:`~repro.intervals.BoxArray` and branch-and-prune
         runs over their union, which multiplies the batch width by the
-        region count and divides the number of tape/contraction passes
-        by the same factor.
+        region count and divides the number of forward passes by the
+        same factor.
 
         The serial witness semantics are preserved: a δ-SAT event for
         region ``k`` is only reported once every region ``< k`` has been
@@ -331,14 +258,6 @@ class BatchedIcpSolver:
             )
 
         tapes = [c.compiled(names) for c in constraints]
-        contract_ok = config.use_contractor and all(
-            len(t) <= config.contractor_node_limit for t in tapes
-        )
-        contractors = (
-            [FrontierContractor(c, names) for c in constraints]
-            if contract_ok
-            else []
-        )
 
         stats = SolverStats()
         start = time.perf_counter()
@@ -445,24 +364,6 @@ class BatchedIcpSolver:
                 if best_tag is not None:
                     keep &= survivor_tags < best_tag
                 survivors = survivors.select(keep)
-                survivor_tags = survivor_tags[keep]
-                survivor_depths = survivor_depths[keep]
-
-            if len(survivors) and contract_ok:
-                contracted, c_alive = contract_frontier(
-                    contractors,
-                    survivors,
-                    max_rounds=config.contractor_rounds,
-                )
-                stats.contractions += len(survivors)
-                stats.boxes_pruned += int((~c_alive).sum())
-                post_small = contracted.max_widths() <= config.delta
-                for row in np.flatnonzero(c_alive & post_small):
-                    record(int(survivor_tags[row]), contracted.box_at(int(row)))
-                keep = c_alive & ~post_small
-                if best_tag is not None:
-                    keep &= survivor_tags < best_tag
-                survivors = contracted.select(keep)
                 survivor_tags = survivor_tags[keep]
                 survivor_depths = survivor_depths[keep]
 

@@ -84,8 +84,10 @@ CACHE_ENV = "REPRO_CACHE"
 #: coefficients of most fits, 6e-8 where the full solve's optimum sat
 #: slightly outside a row; 4: check (5) answers from sampled points
 #: before ICP, so CEGIS counterexamples and the artifacts' new
-#: ``screened_counterexamples`` field differ)
-FINGERPRINT_VERSION = 4
+#: ``screened_counterexamples`` field differ; 5: ``batched-icp`` no
+#: longer contracts, so its searches and witnesses differ, and the
+#: config dict lost the three contractor knobs)
+FINGERPRINT_VERSION = 5
 
 #: ``.tmp`` leftovers older than this are treated as crashed writers'
 #: debris and swept by :meth:`ArtifactStore.collect_garbage` (and by

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
 
 from repro.api import (
+    RunArtifact,
     Scenario,
     dubins_scenario,
     get_scenario,
@@ -154,3 +156,33 @@ class TestConfigSerialization:
         rebuilt = synthesis_config_from_dict(synthesis_config_to_dict(config))
         assert rebuilt == config
         assert rebuilt.icp.delta == 1e-2
+
+    def test_artifact_with_retired_icp_keys_loads(self):
+        # an artifact config as written before the contractor knobs were
+        # retired from IcpConfig
+        old_config = {
+            "seed": 0, "num_seed_traces": 20, "trace_duration": 12.0,
+            "trace_dt": 0.05, "integrator": "rk4", "gamma": 1e-06,
+            "max_candidate_iterations": 20, "max_levelset_iterations": 30,
+            "level_margin": 0.5,
+            "lp": {
+                "coefficient_bound": 1.0, "max_points": 4000,
+                "min_margin": 1e-09, "enforce_positivity": True,
+                "origin_exclusion": 1e-06, "separation_samples": 32,
+            },
+            "icp": {
+                "delta": 0.001, "batch_size": 256, "max_boxes": 2000000,
+                "time_limit": None, "use_contractor": True,
+                "contractor_node_limit": 512, "contractor_rounds": 2,
+                "solver_timeout": None,
+            },
+            "seed_from_initial_set": True, "try_lyapunov_first": False,
+            "engine": "native",
+        }
+        artifact = RunArtifact.from_json(
+            json.dumps({"scenario": "linear", "status": "verified",
+                        "verified": True, "config": old_config})
+        )
+        config = artifact.synthesis_config
+        assert config == SynthesisConfig()
+        assert "use_contractor" not in synthesis_config_to_dict(config)["icp"]

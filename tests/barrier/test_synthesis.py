@@ -147,7 +147,7 @@ class TestFailureModes:
 
     def test_tiny_budget_inconclusive(self, paper_problem_small):
         config = SynthesisConfig(
-            seed=0, icp=IcpConfig(delta=1e-9, max_boxes=5, use_contractor=False)
+            seed=0, icp=IcpConfig(delta=1e-9, max_boxes=5)
         )
         report = verify_system(paper_problem_small, config=config)
         assert report.status in (

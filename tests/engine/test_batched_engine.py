@@ -159,3 +159,26 @@ class TestFullRunParity:
         )
         assert native.verified and batched.verified
         assert batched.level == pytest.approx(native.level, rel=1e-6)
+
+
+class TestRegressions:
+    def test_dubins_sweep_point_verifies_in_one_iteration(self):
+        """A dubins sweep point (sweep seed 3) where a contracting search
+        handed CEGIS the same unvalidated condition-(5) witness over and
+        over, until the loop ended ``no-candidate`` after 20 iterations.
+        Forward pruning and bisection alone verify it at once."""
+        import dataclasses
+
+        from repro import api
+
+        scenario = api.get_family("dubins").instantiate(nn_width=12, speed=3.0)
+        seed = api.derive_scenario_seed(3, scenario.name)
+        assert seed == 3659585632
+        artifact = api.run(
+            scenario,
+            config=dataclasses.replace(scenario.config, seed=seed),
+            engine="batched-icp",
+            cache=False,
+        )
+        assert artifact.status == "verified"
+        assert artifact.candidate_iterations == 1

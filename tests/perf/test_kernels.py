@@ -83,6 +83,19 @@ class TestBitIdentity:
         for a, b in zip(first, third):
             np.testing.assert_array_equal(a, b)
 
+    def test_released_workspace_holds_no_arrays(self, expr, rng):
+        """A pooled workspace keeps none of a pass's arrays alive."""
+        tape = compile_expression(expr, NAMES)
+        plan = tape.kernel()
+        lo, hi = _frontier(rng, 41)
+        with use_kernels(True):
+            tape.eval_boxes(lo, hi)
+            tape.eval_points(lo)
+        for pool in (plan._box_pool, plan._point_pool):
+            ws = pool.acquire(41)
+            assert all(slot is None for slot in ws.slots)
+            pool.release(ws)
+
 
 class TestPlanForm:
     def test_integer_program_arrays(self):

@@ -109,12 +109,12 @@ class TestConfigAndBudget:
 
     def test_box_budget_unknown(self):
         # Equality on a hairline: tiny budget must return UNKNOWN.
-        config = IcpConfig(delta=1e-12, max_boxes=3, use_contractor=False)
+        config = IcpConfig(delta=1e-12, max_boxes=3)
         result = IcpSolver(config).solve([eq(X - Y, 0.0)], BOX, NAMES)
         assert result.verdict is Verdict.UNKNOWN
 
     def test_time_budget_unknown(self):
-        config = IcpConfig(delta=1e-15, time_limit=0.0, use_contractor=False)
+        config = IcpConfig(delta=1e-15, time_limit=0.0)
         result = IcpSolver(config).solve([eq(sin(X) - Y, 0.0)], BOX, NAMES)
         assert result.verdict is Verdict.UNKNOWN
 
@@ -126,19 +126,6 @@ class TestConfigAndBudget:
         unbounded = Box.from_bounds([0.0, 0.0], [math.inf, 1.0])
         with pytest.raises(SolverError):
             IcpSolver().solve([le(X, 0.0)], unbounded, NAMES)
-
-    def test_contractor_on_off_same_verdict(self):
-        constraints = [le(X * X + Y * Y, 0.3), ge(X, 0.3)]
-        on = IcpSolver(IcpConfig(use_contractor=True)).solve(constraints, BOX, NAMES)
-        off = IcpSolver(IcpConfig(use_contractor=False)).solve(constraints, BOX, NAMES)
-        assert on.verdict == off.verdict == Verdict.DELTA_SAT
-
-    def test_contractor_reduces_splits_on_unsat(self):
-        constraints = [le(X + Y, -3.99), ge(X, 0.0)]
-        on = IcpSolver(IcpConfig(use_contractor=True)).solve(constraints, BOX, NAMES)
-        off = IcpSolver(IcpConfig(use_contractor=False)).solve(constraints, BOX, NAMES)
-        assert on.verdict == off.verdict == Verdict.UNSAT
-        assert on.stats.boxes_processed <= off.stats.boxes_processed
 
     def test_stats_populated(self):
         result = solve_conjunction([le(X * X + Y * Y, -1.0)], BOX, NAMES)

@@ -56,7 +56,7 @@ class TestCheckExistsOnBoxes:
         tight = Subproblem(
             [eq(X - Y, 0.0)], Box.from_bounds([-1, -1], [1, 1])
         )
-        config = IcpConfig(delta=1e-12, max_boxes=2, use_contractor=False)
+        config = IcpConfig(delta=1e-12, max_boxes=2)
         result = check_exists_on_boxes([tight], NAMES, config)
         assert result.verdict is Verdict.UNKNOWN
 

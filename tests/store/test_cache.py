@@ -108,22 +108,22 @@ class TestRunKey:
             (
                 lambda: api.get_scenario("linear"),
                 "native",
-                "e7c999112a607f01e0e0719212ebd438d1ebc3c627cc4362951a2939a448e1a0",
+                "8dd1ae057b285b091c283c81953c55aee4c77280a9a3f6fb6ba4610e5a02e8f1",
             ),
             (
                 lambda: api.get_scenario("dubins"),
                 "batched-icp",
-                "d90b20881e53e9881f293376f983618fec2c02358f6b8c0d56fd01fb3b080a55",
+                "119eda0143bdfc425f2e77acb766b5b115ae4d5460411cbbcd7a59ea5f7e1f4a",
             ),
             (
                 lambda: api.get_family("cartpole").instantiate(),
                 "batched-icp",
-                "787301098adf5bbfa68f88efbc306492a1ea587567e9de80b4ec780e693121ba",
+                "31ca9a4d4a6a9ed7bf73b554e6753e392600c7edabe71701d8e8833f9fbf6885",
             ),
             (
                 lambda: api.get_family("dubins").instantiate(),
                 "portfolio",
-                "061676e68ca4e7ad8bad0e830e2af8a9bd5fa5df101e80d708d4063dd5cfbe14",
+                "bb9e9ae6c047f8107819f20884d362743cac6aed8c5f52cc180fd7900b18fabc",
             ),
         ],
         ids=["linear-native", "dubins-batched", "cartpole-family", "dubins-family"],

@@ -25,7 +25,6 @@ DOCTEST_MODULES = (
     "repro.api.sweep",
     "repro.intervals.array",
     "repro.intervals.interval",
-    "repro.smt.hc4",
     "repro.store.cache",
 )
 
@@ -37,7 +36,6 @@ COVERAGE_MODULES = (
     "repro.engine",
     "repro.intervals.array",
     "repro.perf",
-    "repro.smt.hc4",
     "repro.store",
 )
 
