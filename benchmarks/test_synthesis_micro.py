@@ -1,22 +1,23 @@
-"""End-to-end synthesis benchmark: the whole loop vs the pre-PR baseline.
+"""End-to-end synthesis benchmark: the fast path vs the reference engine.
 
 Three measurements, one run:
 
-* **End-to-end verify latency** on the paper's dubins workload, over the
-  {engine} x {kernel layer on/off} matrix.  The pre-PR baseline is the
-  ``native`` engine with ``REPRO_KERNELS`` off (the interpreted tape
-  walkers); the shipped fast path is ``batched-icp`` with kernels on.
+* **End-to-end verify latency** on the paper's dubins workload, per
+  engine.  The baseline is the ``native`` reference engine (scalar
+  branch-and-prune with HC4 contraction); the shipped fast path is
+  ``batched-icp``.
 * **Path parity** on every builtin scenario: with wall-clock solver
   limits neutralized (box budgets are deterministic, wall clocks are
-  not), the kernel-compiled and interpreted paths must return
-  bit-identical statuses, levels, counterexample witnesses, and LP
-  coefficients.
+  not), generated point functions and the tape interpreter
+  (``CompiledExpression.interpret_points``, swapped in by a test-only
+  monkeypatch) must return bit-identical statuses, levels,
+  counterexample witnesses, and LP coefficients.
 * **Cold sweep throughput** against a fresh artifact store on the PR-4
   benchmark grid, via the warm worker pool — compared against PR 4's
   recorded 88.55 scenarios/min @ 2 workers.
 
 Writes ``benchmarks/results/BENCH_synthesis.json``.  Acceptance bars:
->= 2x end-to-end dubins speedup (fast path vs pre-PR baseline) and
+>= 2x end-to-end dubins speedup (batched-icp vs native) and
 >= 1.5x the PR-4 cold sweep rate, with all parity checks holding.
 """
 
@@ -28,7 +29,7 @@ import os
 import time
 
 from repro.api import get_scenario, run, scenario_names, sweep
-from repro.perf import use_kernels
+from repro.expr import CompiledExpression
 from repro.store import ArtifactStore
 
 REPEATS = 3
@@ -96,52 +97,51 @@ def _artifact_fingerprint(artifact):
     }
 
 
-def test_synthesis_end_to_end(emit, results_dir, tmp_path):
+def test_synthesis_end_to_end(emit, results_dir, tmp_path, monkeypatch):
     # ------------------------------------------------------------------
-    # 1. dubins end-to-end latency matrix
+    # 1. dubins end-to-end latency per engine
     # ------------------------------------------------------------------
     matrix = {}
     for engine in ("native", "batched-icp"):
-        for kernels in (False, True):
-            with use_kernels(kernels):
-                seconds, artifact = _best_of(
-                    REPEATS, lambda: run("dubins", engine=engine, cache=False)
-                )
-            assert artifact.verified
-            matrix[f"{engine}/kernels-{'on' if kernels else 'off'}"] = round(
-                seconds, 6
-            )
-    baseline_s = matrix["native/kernels-off"]
-    fast_s = matrix["batched-icp/kernels-on"]
+        seconds, artifact = _best_of(
+            REPEATS, lambda: run("dubins", engine=engine, cache=False)
+        )
+        assert artifact.verified
+        matrix[engine] = round(seconds, 6)
+    baseline_s = matrix["native"]
+    fast_s = matrix["batched-icp"]
     e2e_speedup = baseline_s / fast_s
 
     # ------------------------------------------------------------------
-    # 2. kernel-path parity across every builtin scenario
+    # 2. generated-vs-interpreted parity across every builtin scenario
     # ------------------------------------------------------------------
     parity = {}
-    parity_seconds = {}
     for name in scenario_names():
         scenario = get_scenario(name)
         config = _parity_config(scenario)
-        with use_kernels(False):
-            off_s, off = _best_of(
+        gen_s, generated = _best_of(
+            1, lambda: run(scenario, config=config, cache=False)
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                CompiledExpression, "eval_points", CompiledExpression.interpret_points
+            )
+            int_s, interpreted = _best_of(
                 1, lambda: run(scenario, config=config, cache=False)
             )
-        with use_kernels(True):
-            on_s, on = _best_of(
-                1, lambda: run(scenario, config=config, cache=False)
-            )
-        identical = _artifact_fingerprint(off) == _artifact_fingerprint(on)
+        identical = (
+            _artifact_fingerprint(interpreted) == _artifact_fingerprint(generated)
+        )
         parity[name] = {
-            "status": on.status,
+            "status": generated.status,
             "identical": identical,
-            "interpreted_seconds": round(off_s, 4),
-            "kernel_seconds": round(on_s, 4),
+            "interpreted_seconds": round(int_s, 4),
+            "generated_seconds": round(gen_s, 4),
         }
-        parity_seconds[name] = (off_s, on_s)
         assert identical, (
-            f"{name}: kernel-compiled path diverged from the interpreted "
-            f"path ({_artifact_fingerprint(off)} vs {_artifact_fingerprint(on)})"
+            f"{name}: generated point functions diverged from the tape "
+            f"interpreter ({_artifact_fingerprint(interpreted)} vs "
+            f"{_artifact_fingerprint(generated)})"
         )
 
     # ------------------------------------------------------------------
@@ -184,8 +184,8 @@ def test_synthesis_end_to_end(emit, results_dir, tmp_path):
         "end_to_end": {
             "scenario": "dubins",
             "matrix_seconds": matrix,
-            "baseline": "native/kernels-off",
-            "fast_path": "batched-icp/kernels-on",
+            "baseline": "native",
+            "fast_path": "batched-icp",
             "speedup": round(e2e_speedup, 2),
             "speedup_bar": E2E_SPEEDUP_BAR,
         },
@@ -216,11 +216,11 @@ def test_synthesis_end_to_end(emit, results_dir, tmp_path):
             f"  {key:<24} {seconds:8.4f}s"
             for key, seconds in matrix.items()
         ),
-        f"  fast path vs pre-PR baseline: {e2e_speedup:.1f}x (bar {E2E_SPEEDUP_BAR}x)",
-        "kernel-path parity (interpreted vs compiled, identical artifacts):",
+        f"  batched-icp vs native: {e2e_speedup:.1f}x (bar {E2E_SPEEDUP_BAR}x)",
+        "point-path parity (interpreted vs generated, identical artifacts):",
         *(
             f"  {name:<18} {info['status']:<14} "
-            f"{info['interpreted_seconds']:7.3f}s -> {info['kernel_seconds']:7.3f}s"
+            f"{info['interpreted_seconds']:7.3f}s -> {info['generated_seconds']:7.3f}s"
             for name, info in parity.items()
         ),
         f"cold sweep ({report.total} points, {SWEEP_WORKERS} workers, "

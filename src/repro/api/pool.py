@@ -7,8 +7,8 @@ platforms, registry construction — before the first real solve.  A
 :class:`WarmPool` keeps one executor alive across dispatches and runs a
 :class:`WarmupSpec` in every worker's initializer, which imports the
 full stack and exercises the family's scenario-construction and
-tape/kernel-compilation code paths once (lazy imports, ufunc set-up)
-before the first task arrives.  Compiled plans themselves are cached
+tape-compilation code paths once (lazy imports, ufunc set-up, code
+generation) before the first task arrives.  Compiled tapes are cached
 per system instance, so per-scenario compilation still happens per
 task — the warm-up amortizes the process- and module-level costs, not
 the per-scenario ones.
@@ -109,7 +109,7 @@ def _warm_initializer(spec: WarmupSpec) -> None:
 
 
 def _prewarm(spec: WarmupSpec) -> None:
-    """Run inside a worker: import the stack and compile scenario kernels."""
+    """Run inside a worker: import the stack and compile scenario tapes."""
     # The imports alone are the bulk of a cold worker's start-up cost on
     # spawn-start platforms (fork inherits them for free).
     from . import family as family_module
@@ -118,7 +118,7 @@ def _prewarm(spec: WarmupSpec) -> None:
     def warm_scenario(scenario) -> None:
         problem = scenario.problem()
         for tape in problem.system.tapes():
-            tape.kernel()
+            tape.point_function()
 
     for name in spec.families:
         try:

@@ -312,24 +312,13 @@ def _run_once(
 def _execute_chunk(
     payloads: "list[tuple[Scenario, SynthesisConfig | None, Engine]]",
     cache: "object | None",
-    kernels: "bool | None" = None,
 ) -> "list[RunArtifact]":
     """Worker entry point for chunked dispatch: one task, many solves.
 
     Chunking amortizes per-task submission/pickling overhead across
     several scenarios; per-scenario failure isolation is unchanged
     because :func:`_execute` never raises.
-
-    ``kernels`` pins the worker's kernel-layer switch to the parent's
-    setting at dispatch time: long-lived warm-pool workers otherwise
-    keep whatever ``repro.perf`` toggle they inherited when first
-    forked, silently ignoring a later ``use_kernels(...)`` in the
-    parent.
     """
-    if kernels is not None:
-        from ..perf import set_enabled
-
-        set_enabled(kernels)
     return [
         _execute(scenario, config, True, engine, cache)
         for scenario, config, engine in payloads
@@ -417,7 +406,7 @@ def run_batch(
     ``pool`` (optional) dispatches on a persistent
     :class:`~repro.api.pool.WarmPool` instead of a one-shot executor —
     the sweep runner's fast path, keeping workers (and their compiled
-    scenario kernels) warm across calls.  ``chunksize`` groups that
+    scenario tapes) warm across calls.  ``chunksize`` groups that
     many scenarios per worker task (default: ~4 tasks per worker),
     amortizing submission overhead; results are order-preserving and
     per-scenario failure isolation is unchanged either way.
@@ -480,9 +469,6 @@ def run_batch(
         chunksize = max(1, -(-len(remote) // (dispatch_workers * 4)))
 
     results: list[RunArtifact | None] = [None] * len(resolved)
-    from ..perf import enabled as _kernels_enabled
-
-    kernels = _kernels_enabled()
     for i, ok in enumerate(picklable):
         if not ok:
             results[i] = _execute(
@@ -494,7 +480,7 @@ def run_batch(
         for start in range(0, len(remote), chunksize)
     ]
     _dispatch_supervised(
-        chunk_groups, resolved, configs, engines, store, kernels,
+        chunk_groups, resolved, configs, engines, store,
         results, pool, workers,
     )
     return [artifact for artifact in results if artifact is not None]
@@ -564,7 +550,6 @@ def _dispatch_supervised(
     configs: "list[SynthesisConfig | None]",
     engines: "list[Engine]",
     store,
-    kernels: bool,
     results: "list[RunArtifact | None]",
     pool: "WarmPool | None",
     workers: int,
@@ -600,7 +585,7 @@ def _dispatch_supervised(
                     (resolved[i], configs[i], engines[i]) for i in indices
                 ]
                 futures.append(
-                    (ci, executor.submit(_execute_chunk, payloads, store, kernels))
+                    (ci, executor.submit(_execute_chunk, payloads, store))
                 )
             _inject_pool_fault(executor)
             try:

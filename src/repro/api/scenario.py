@@ -118,9 +118,12 @@ def case_study_controller(
     """A controller of the requested width.
 
     ``trained=False`` (default) returns the deterministic hand-built
-    saturating-proportional network — verification cost depends only on
-    width, which is the Table 1 axis.  ``trained=True`` runs the paper's
-    CMA-ES policy search first (slow for large widths).
+    saturating-proportional network.  It repeats one neuron per input,
+    and value-numbered expression tapes evaluate a repeated neuron once,
+    so its verification cost barely depends on width; Table 1
+    (:func:`repro.experiments.run_table1`) sweeps width with a variant
+    whose neurons are pairwise distinct.  ``trained=True`` runs the
+    paper's CMA-ES policy search first (slow for large widths).
     """
     if not trained:
         return proportional_controller_network(hidden_neurons)

@@ -278,7 +278,7 @@ def sweep(
         Worker-pool policy for the miss fan-out.  ``None``/``True``
         (default) dispatches on the process-global
         :class:`~repro.api.pool.WarmPool`, whose workers persist across
-        sweeps and pre-compile this family's scenario kernels in their
+        sweeps and pre-compile this family's scenario tapes in their
         initializer; a :class:`WarmPool` uses that pool; ``False``
         restores the historical one-shot executor per call.
 

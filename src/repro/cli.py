@@ -12,7 +12,6 @@ verify    run the Figure-1 verification on a registered scenario
           (``--scenario``) or on the paper's Dubins case study with a
           hand-built, trained, or JSON-loaded controller
 profile   per-stage latency breakdown of a scenario verify
-          (``--compare`` adds the kernels-off baseline columns)
 batch     verify several scenarios in parallel worker processes
 sweep     shard a family's parameter grid across workers, skipping the
           content-addressed artifact cache's hits
@@ -158,15 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument(
         "--repeats", type=int, default=3,
         help="runs per configuration; the fastest is reported (default 3)",
-    )
-    p_profile.add_argument(
-        "--compare", action="store_true",
-        help="also time the kernels-disabled interpreted path "
-        "(bit-identical results; doubles the runtime)",
-    )
-    p_profile.add_argument(
-        "--no-kernels", action="store_true",
-        help="profile with the kernel layer disabled",
     )
     p_profile.add_argument(
         "--json", type=str, default="", metavar="FILE",
@@ -880,8 +870,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         args.scenario,
         engine=args.engine,
         repeats=args.repeats,
-        compare=args.compare,
-        kernels=not args.no_kernels,
     )
     print(format_profile(report))
     if args.json:

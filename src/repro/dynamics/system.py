@@ -150,7 +150,7 @@ class ContinuousSystem:
 
     def __getstate__(self) -> dict:
         # The generated field is exec-compiled and does not pickle; like
-        # a tape's kernel plan it is rebuilt on first use.
+        # a tape's point function it is rebuilt on first use.
         state = self.__dict__.copy()
         state["_field"] = None
         return state

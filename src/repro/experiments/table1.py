@@ -35,6 +35,8 @@ from ..api import (
     run_batch,
 )
 from ..barrier import SynthesisConfig
+from ..learning import proportional_controller_network
+from ..nn import FeedforwardNetwork, Layer
 from ..smt import IcpConfig
 
 __all__ = ["PAPER_NEURON_COUNTS", "Table1Row", "run_table1", "format_table1"]
@@ -83,8 +85,10 @@ def run_table1(
     processes via :func:`repro.api.run_batch` — timing columns then
     reflect per-run wall clock under whatever core contention the fan-out
     creates, so keep ``workers=1`` for paper-comparable numbers.
-    ``engine`` selects the solver stack (default ``native``, which
-    reproduces the historical numbers exactly).
+    ``engine`` selects the solver stack (default ``native``, the
+    reference oracle).  Untrained widths use a variant of the hand-built
+    controller whose neurons are pairwise distinct, so each row's cost is
+    that of a width-``Nh`` network.
 
     ``scenarios`` appends one row per registered scenario name (e.g.
     ``("bicycle", "cartpole")``), run over the same seeds and reported
@@ -104,7 +108,11 @@ def run_table1(
     # controllers are built here, in the parent, so worker processes
     # never repeat the expensive CMA-ES search.
     networks = {
-        neurons: case_study_controller(neurons, trained=trained)
+        neurons: (
+            case_study_controller(neurons, trained=True)
+            if trained
+            else _width_sweep_controller(neurons)
+        )
         for neurons in neuron_counts
     }
     workloads = [
@@ -175,6 +183,34 @@ def run_table1(
             )
         )
     return rows
+
+
+def _width_sweep_controller(hidden_neurons: int) -> FeedforwardNetwork:
+    """The hand-built proportional controller with no two neurons alike.
+
+    :func:`~repro.learning.proportional_controller_network` repeats one
+    neuron per input ``Nh / 2`` times.  Value-numbered expression tapes
+    evaluate a repeated neuron once, so with it every width would verify
+    at the cost of width 2 and the table's width axis would measure
+    nothing.  Here neuron ``j`` of an input's group of ``k`` has its
+    input weight scaled by ``1 + j/k`` and its output weight divided by
+    the same factor: the group's slope at zero, and with it the
+    linearized (stable) closed loop, is unchanged.
+    """
+    network = proportional_controller_network(hidden_neurons)
+    hidden, output = network.layers
+    w1, w2 = hidden.weights.copy(), output.weights.copy()
+    for column in range(w1.shape[1]):
+        group = np.flatnonzero(w1[:, column])
+        scale = 1.0 + np.arange(len(group)) / len(group)
+        w1[group, column] *= scale
+        w2[0, group] /= scale
+    return FeedforwardNetwork(
+        [
+            Layer(w1, hidden.biases, hidden.activation),
+            Layer(w2, output.biases, output.activation),
+        ]
+    )
 
 
 def format_table1(rows: Sequence[Table1Row]) -> str:

@@ -2,11 +2,17 @@
 
 The δ-SAT solver evaluates the same expression over very many boxes.  A
 :class:`CompiledExpression` flattens the DAG postorder into an instruction
-tape once, then evaluates:
+tape once.  The tape is *value-numbered*: an instruction is keyed on its
+op and operand slots, so a subterm that was built more than once (the
+same neuron under every partial derivative of a Lie derivative) gets one
+slot and is evaluated once.  The tape then evaluates:
 
 * ``eval_points`` — vectorized numeric evaluation over ``(m,)`` arrays of
   sample points per variable (used for trace constraint generation and
-  counterexample screening);
+  counterexample screening), through the tape's generated straight-line
+  function (:mod:`repro.expr.codegen`); ``interpret_points`` walks the
+  tape instead and is the reference the generated code matches bit for
+  bit;
 * ``eval_boxes`` — vectorized *interval* evaluation over batches of boxes,
   carrying ``(lo, hi)`` ndarray pairs through every instruction with sound
   outward widening.  One tape pass bounds the expression over hundreds of
@@ -21,6 +27,7 @@ tests in ``tests/expr`` cross-check the two implementations.
 from __future__ import annotations
 
 import math
+import struct
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +61,8 @@ _HALF_PI = 0.5 * math.pi
 _EPS = np.finfo(float).eps
 _REL = 8.0 * _EPS
 _ABS = 8.0 * np.finfo(float).tiny
+#: binary node type -> tape op
+_BINARY_OPS = {Add: "add", Sub: "sub", Mul: "mul", Div: "div", Min2: "min", Max2: "max"}
 
 
 class CompiledExpression:
@@ -68,9 +77,10 @@ class CompiledExpression:
         self.variable_names = list(variable_names)
         self._var_index = {name: i for i, name in enumerate(self.variable_names)}
         self._tape: list[tuple] = []
+        self._constants: dict[int, float] = {}
         self._n_slots = 0
+        self._n_nodes = 0
         self._result_slot = 0
-        self._kernel = None
         self._point_function = None
         self._build(root)
 
@@ -78,43 +88,54 @@ class CompiledExpression:
     # Tape construction
     # ------------------------------------------------------------------
     def _build(self, root: Expr) -> None:
+        # Value numbering: an instruction is keyed on its op and operand
+        # slots, so a subterm that is built more than once (the same
+        # neuron under every partial derivative, say) gets one slot and
+        # is evaluated once.  Constants are keyed on their IEEE bits (so
+        # -0.0 and 0.0 stay apart and a NaN matches itself), variables on
+        # their column, powers on their exponent.  Commutative operands
+        # are not reordered: x*y and y*x stay two instructions.
         slots: dict[int, int] = {}
+        numbers: dict[tuple, int] = {}
         order = postorder(root)
         for node in order:
-            slot = len(slots)
+            instr = self._instruction(node, slots)
+            key = instr
+            if instr[0] == "const":
+                key = ("const", struct.pack("<d", instr[1]))
+            slot = numbers.get(key)
+            if slot is None:
+                slot = numbers[key] = len(numbers)
+                self._tape.append((instr[0], slot, *instr[1:]))
+                if instr[0] == "const":
+                    self._constants[slot] = instr[1]
             slots[id(node)] = slot
-            if isinstance(node, Const):
-                self._tape.append(("const", slot, node.value))
-            elif isinstance(node, Var):
-                index = self._var_index.get(node.name)
-                if index is None:
-                    raise EvaluationError(
-                        f"expression uses variable {node.name!r} not listed in "
-                        f"{self.variable_names}"
-                    )
-                self._tape.append(("var", slot, index))
-            elif isinstance(node, Neg):
-                self._tape.append(("neg", slot, slots[id(node.child)]))
-            elif isinstance(node, Pow):
-                self._tape.append(("pow", slot, slots[id(node.base)], node.exponent))
-            elif isinstance(node, Unary):
-                self._tape.append((node.op, slot, slots[id(node.child)]))
-            elif isinstance(node, (Add, Sub, Mul, Div, Min2, Max2)):
-                opname = {
-                    Add: "add",
-                    Sub: "sub",
-                    Mul: "mul",
-                    Div: "div",
-                    Min2: "min",
-                    Max2: "max",
-                }[type(node)]
-                self._tape.append(
-                    (opname, slot, slots[id(node.left)], slots[id(node.right)])
-                )
-            else:  # pragma: no cover - node zoo is closed
-                raise EvaluationError(f"unknown node type {type(node).__name__}")
-        self._n_slots = len(slots)
+        self._n_slots = len(numbers)
+        self._n_nodes = len(order)
         self._result_slot = slots[id(root)]
+
+    def _instruction(self, node: Expr, slots: dict[int, int]) -> tuple:
+        """``node`` as ``(op, *operands)``, operands given as tape slots."""
+        if isinstance(node, Const):
+            return ("const", node.value)
+        if isinstance(node, Var):
+            index = self._var_index.get(node.name)
+            if index is None:
+                raise EvaluationError(
+                    f"expression uses variable {node.name!r} not listed in "
+                    f"{self.variable_names}"
+                )
+            return ("var", index)
+        if isinstance(node, Neg):
+            return ("neg", slots[id(node.child)])
+        if isinstance(node, Pow):
+            return ("pow", slots[id(node.base)], node.exponent)
+        if isinstance(node, Unary):
+            return (node.op, slots[id(node.child)])
+        opname = _BINARY_OPS.get(type(node))
+        if opname is None:  # pragma: no cover - node zoo is closed
+            raise EvaluationError(f"unknown node type {type(node).__name__}")
+        return (opname, slots[id(node.left)], slots[id(node.right)])
 
     def __len__(self) -> int:
         return len(self._tape)
@@ -126,10 +147,10 @@ class CompiledExpression:
         Each entry is ``(op, slot, *operands)``: ``("const", slot, value)``,
         ``("var", slot, var_index)``, ``("pow", slot, base_slot, exponent)``,
         unary ``(op, slot, child_slot)``, or binary
-        ``(op, slot, left_slot, right_slot)``.  The kernel planner
-        (:mod:`repro.perf.kernels`) and the code generator
-        (:mod:`repro.expr.codegen`) read this tape instead of re-deriving
-        their own flattening.
+        ``(op, slot, left_slot, right_slot)``.  No two entries share
+        ``op`` and operands (see :meth:`_build`).  The code generator
+        (:mod:`repro.expr.codegen`) reads this tape instead of re-deriving
+        its own flattening.
         """
         return tuple(self._tape)
 
@@ -139,29 +160,25 @@ class CompiledExpression:
         return self._n_slots
 
     @property
+    def n_nodes(self) -> int:
+        """Distinct expression nodes the tape was built from.
+
+        ``len(postorder(root))``: the tape length before value numbering
+        merged rebuilt subterms.
+        """
+        return self._n_nodes
+
+    @property
     def result_slot(self) -> int:
         """Slot holding the root's value after a tape pass."""
         return self._result_slot
-
-    def kernel(self):
-        """The tape's compiled :class:`~repro.perf.KernelPlan` (cached).
-
-        Built on first use; :meth:`eval_points` / :meth:`eval_boxes`
-        route through it whenever the kernel layer is enabled
-        (:func:`repro.perf.set_enabled`, ``REPRO_KERNELS``).
-        """
-        if self._kernel is None:
-            self._kernel = _kernel_module().KernelPlan(self)
-        return self._kernel
 
     def point_function(self):
         """The tape as one generated straight-line function (cached).
 
         ``F(X) -> (m,)`` over an ``(m, n_vars)`` array, built on first use
         by :class:`repro.expr.codegen.SourceBuilder` and bit-identical to
-        the interpreter path of :meth:`eval_points`.  Unlike a
-        :class:`~repro.perf.KernelPlan` it keeps no per-row workspace
-        alive between calls.
+        the reference interpreter :meth:`interpret_points`.
         """
         if self._point_function is None:
             from .codegen import SourceBuilder  # codegen imports this module
@@ -171,12 +188,9 @@ class CompiledExpression:
         return self._point_function
 
     def __getstate__(self) -> dict:
-        # Kernel plans hold prebound closures and thread-local buffer
-        # pools, and generated functions live in an ``exec`` namespace —
-        # process-local state.  Drop both on pickling (workers rebuild
-        # them on first evaluation).
+        # Generated functions live in an ``exec`` namespace — process-local
+        # state.  Drop it on pickling (workers rebuild it on first use).
         state = self.__dict__.copy()
-        state["_kernel"] = None
         state["_point_function"] = None
         return state
 
@@ -184,15 +198,16 @@ class CompiledExpression:
     # Vectorized numeric evaluation
     # ------------------------------------------------------------------
     def eval_points(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at ``points`` of shape ``(m, n_vars)``; returns ``(m,)``."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[1] != len(self.variable_names):
-            raise EvaluationError(
-                f"points have {points.shape[1]} columns, expected "
-                f"{len(self.variable_names)}"
-            )
-        if _kernel_module().enabled():
-            return self.kernel().eval_points(points)
+        """Evaluate at ``points`` of shape ``(m, n_vars)``; returns ``(m,)``.
+
+        Runs the generated :meth:`point_function`.
+        """
+        return self.point_function()(self._check_points(points))
+
+    def interpret_points(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`eval_points` by walking the tape: the reference semantics
+        the generated :meth:`point_function` reproduces bit for bit."""
+        points = self._check_points(points)
         m = points.shape[0]
         slots: list[np.ndarray | None] = [None] * self._n_slots
         for instr in self._tape:
@@ -205,6 +220,15 @@ class CompiledExpression:
                 slots[slot] = _numeric_op(op, instr, slots)
         return slots[self._result_slot]
 
+    def _check_points(self, points) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[1] != len(self.variable_names):
+            raise EvaluationError(
+                f"points have {points.shape[1]} columns, expected "
+                f"{len(self.variable_names)}"
+            )
+        return points
+
     def eval_point(self, point: Sequence[float]) -> float:
         """Evaluate at a single point vector."""
         return float(self.eval_points(np.asarray(point, dtype=float)[None, :])[0])
@@ -216,7 +240,9 @@ class CompiledExpression:
         """Sound bounds over a batch of boxes.
 
         ``lower``/``upper`` have shape ``(m, n_vars)``; returns two ``(m,)``
-        arrays bounding the expression on each box.
+        arrays bounding the expression on each box.  A constant slot is
+        one ``np.full`` row shared as both bounds: no helper writes into
+        its operands.
         """
         lower = np.atleast_2d(np.asarray(lower, dtype=float))
         upper = np.atleast_2d(np.asarray(upper, dtype=float))
@@ -225,21 +251,19 @@ class CompiledExpression:
                 f"box arrays of shape {lower.shape}/{upper.shape} do not match "
                 f"{len(self.variable_names)} variables"
             )
-        if _kernel_module().enabled():
-            return self.kernel().eval_boxes(lower, upper)
         m = lower.shape[0]
+        constants = self._constants
         los: list[np.ndarray | None] = [None] * self._n_slots
         his: list[np.ndarray | None] = [None] * self._n_slots
         for instr in self._tape:
             op, slot = instr[0], instr[1]
             if op == "const":
-                los[slot] = np.full(m, instr[2])
-                his[slot] = np.full(m, instr[2])
+                los[slot] = his[slot] = np.full(m, instr[2])
             elif op == "var":
                 los[slot] = lower[:, instr[2]]
                 his[slot] = upper[:, instr[2]]
             else:
-                los[slot], his[slot] = _interval_op(op, instr, los, his)
+                los[slot], his[slot] = _interval_op(op, instr, los, his, constants)
         return los[self._result_slot], his[self._result_slot]
 
     def eval_box(self, box: Box) -> Interval:
@@ -248,36 +272,12 @@ class CompiledExpression:
         lo, hi = self.eval_boxes(arr[None, :, 0], arr[None, :, 1])
         return Interval(float(lo[0]), float(hi[0]))
 
-    def eval_box_array(self, boxes: "BoxArray") -> "IntervalArray":
-        """Sound bounds over a whole :class:`~repro.intervals.BoxArray`.
-
-        One tape pass for the full frontier; returns an
-        :class:`~repro.intervals.IntervalArray` of shape ``(m,)``.
-        """
-        from ..intervals import IntervalArray
-
-        lo, hi = self.eval_boxes(boxes.lo, boxes.hi)
-        return IntervalArray(lo, hi)
-
 
 def compile_expression(
     root: Expr, variable_names: Sequence[str]
 ) -> CompiledExpression:
     """Compile ``root`` against a fixed variable ordering."""
     return CompiledExpression(root, variable_names)
-
-
-_kernels = None
-
-
-def _kernel_module():
-    """Lazy handle to :mod:`repro.perf.kernels` (imports would be circular)."""
-    global _kernels
-    if _kernels is None:
-        from ..perf import kernels
-
-        _kernels = kernels
-    return _kernels
 
 
 # ----------------------------------------------------------------------
@@ -342,17 +342,26 @@ def _sigmoid_array(x: np.ndarray) -> np.ndarray:
 # Interval instruction semantics (vectorized over a batch of boxes)
 # ----------------------------------------------------------------------
 def _widen(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pad_lo = _REL * np.abs(lo) + _ABS
-    pad_hi = _REL * np.abs(hi) + _ABS
-    out_lo = lo - pad_lo
-    out_hi = hi + pad_hi
-    # Widening must never invalidate infinities or create NaNs.
-    out_lo = np.where(np.isnan(out_lo), -np.inf, out_lo)
-    out_hi = np.where(np.isnan(out_hi), np.inf, out_hi)
-    return out_lo, out_hi
+    """Pad ``lo``/``hi`` outward *in place*: both must be fresh arrays.
+
+    ``fmax(x, -inf)`` is ``x`` except that NaN becomes ``-inf`` (and
+    ``fmin(x, inf)`` maps NaN to ``+inf``): widening never invalidates
+    infinities or creates NaNs.
+    """
+    pad = np.abs(lo)
+    pad *= _REL
+    pad += _ABS
+    lo -= pad
+    np.fmax(lo, -np.inf, out=lo)
+    pad = np.abs(hi, out=pad)
+    pad *= _REL
+    pad += _ABS
+    hi += pad
+    np.fmin(hi, np.inf, out=hi)
+    return lo, hi
 
 
-def _interval_op(op: str, instr: tuple, los: list, his: list):
+def _interval_op(op: str, instr: tuple, los: list, his: list, constants: dict):
     if op in ("add", "sub", "mul", "div", "min", "max"):
         alo, ahi = los[instr[2]], his[instr[2]]
         blo, bhi = los[instr[3]], his[instr[3]]
@@ -361,6 +370,10 @@ def _interval_op(op: str, instr: tuple, los: list, his: list):
         if op == "sub":
             return _widen(alo - bhi, ahi - blo)
         if op == "mul":
+            if instr[3] in constants:
+                return _widen(*_interval_scale(alo, ahi, constants[instr[3]]))
+            if instr[2] in constants:
+                return _widen(*_interval_scale(blo, bhi, constants[instr[2]]))
             return _widen(*_interval_mul(alo, ahi, blo, bhi))
         if op == "div":
             return _widen(*_interval_div(alo, ahi, blo, bhi))
@@ -416,6 +429,22 @@ def _interval_mul(alo, ahi, blo, bhi):
     return lo, hi
 
 
+def _interval_scale(alo, ahi, c: float):
+    """:func:`_interval_mul` by the point interval ``[c, c]``, bit for bit.
+
+    With ``blo == bhi == c`` the four products pair up, and
+    ``min(min(p, q), min(p, q)) == min(p, q)``: two products suffice.
+    The operand order inside each product does not matter (IEEE
+    multiplication commutes), so this also serves ``[c, c] * [b]``.
+    """
+    with np.errstate(invalid="ignore"):
+        p = alo * c
+        q = ahi * c
+    for r in (p, q):
+        np.copyto(r, 0.0, where=np.isnan(r))
+    return np.minimum(p, q), np.maximum(p, q)
+
+
 def _interval_div(alo, ahi, blo, bhi):
     # Reciprocal of [blo, bhi], whole-line where the denominator spans 0.
     spans_zero = (blo <= 0.0) & (bhi >= 0.0)
@@ -427,8 +456,7 @@ def _interval_div(alo, ahi, blo, bhi):
 
 def _interval_pow(alo, ahi, exponent: int):
     if exponent == 0:
-        ones = np.ones_like(alo)
-        return ones, ones
+        return np.ones_like(alo), np.ones_like(alo)
     if exponent < 0:
         plo, phi = _interval_pow(alo, ahi, -exponent)
         return _interval_div(np.ones_like(alo), np.ones_like(alo), plo, phi)

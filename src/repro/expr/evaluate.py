@@ -108,7 +108,10 @@ def evaluate_box_array(root: Expr, boxes: BoxArray, names: list[str]) -> Interva
         raise EvaluationError(
             f"boxes dimension {boxes.dimension} does not match {len(names)} names"
         )
-    env = {name: boxes.column(j) for j, name in enumerate(names)}
+    env = {
+        name: IntervalArray(boxes.lo[:, j], boxes.hi[:, j])
+        for j, name in enumerate(names)
+    }
     result = evaluate(root, env)
     if not isinstance(result, IntervalArray):  # constant expression
         result = IntervalArray.point(np.full(len(boxes), float(result)))

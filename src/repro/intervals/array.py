@@ -12,8 +12,7 @@ without dropping back to per-box Python; its interval evaluation is the
 expression tapes' own forward pass
 (:meth:`~repro.expr.CompiledExpression.eval_boxes`).  An
 :class:`IntervalArray` is the batch value type of
-:func:`~repro.expr.evaluate.evaluate_box_array` and
-:meth:`~repro.expr.CompiledExpression.eval_box_array`.
+:func:`~repro.expr.evaluate.evaluate_box_array`.
 
 Soundness contract
 ------------------
@@ -279,24 +278,6 @@ class IntervalArray:
         """
         rec_lo, rec_hi = _reciprocal_bounds(self.lo, self.hi)
         return IntervalArray(rec_lo, rec_hi)
-
-    def extended_divide_hull(self, other: "IntervalArray") -> "IntervalArray":
-        """Hull of the generalized division used by backward contractors.
-
-        Mirrors ``hull(Interval.extended_divide(...))``: denominators
-        strictly spanning zero hull to the whole line; a ``[0, 0]``
-        denominator gives the whole line when the numerator can be zero
-        and the *empty* member otherwise.
-        """
-        res = self / other
-        den_zero = (other.lo == 0.0) & (other.hi == 0.0)
-        if den_zero.any():
-            num_zero = self.contains(0.0)
-            emp = den_zero & ~num_zero
-            lo = np.where(emp, _INF, res.lo)
-            hi = np.where(emp, -_INF, res.hi)
-            res = IntervalArray(lo, hi)
-        return res
 
     def __pow__(self, exponent: int) -> "IntervalArray":
         if not isinstance(exponent, int):
@@ -609,17 +590,6 @@ class BoxArray:
         arrs = np.stack([box.to_array() for box in boxes])
         return BoxArray(arrs[:, :, 0], arrs[:, :, 1])
 
-    @staticmethod
-    def empty(dimension: int) -> "BoxArray":
-        """A zero-row frontier of the given dimension."""
-        return BoxArray(np.empty((0, dimension)), np.empty((0, dimension)))
-
-    def to_boxes(self) -> list:
-        """Unpack into scalar :class:`~repro.intervals.Box` objects."""
-        from .box import Box
-
-        return [self.box_at(i) for i in range(len(self))]
-
     def box_at(self, index: int):
         """Row ``index`` as a scalar :class:`~repro.intervals.Box`."""
         from .box import Box
@@ -627,22 +597,6 @@ class BoxArray:
         return Box(
             Interval(lo, hi) for lo, hi in zip(self.lo[index], self.hi[index])
         )
-
-    def to_array(self) -> np.ndarray:
-        """``(m, n, 2)`` array of ``[lo, hi]`` pairs."""
-        return np.stack([self.lo, self.hi], axis=-1)
-
-    def column(self, index: int) -> IntervalArray:
-        """Variable ``index`` across the whole frontier."""
-        return IntervalArray(self.lo[:, index], self.hi[:, index])
-
-    def replace_column(self, index: int, column: IntervalArray) -> "BoxArray":
-        """New frontier with variable ``index`` swapped out."""
-        lo = self.lo.copy()
-        hi = self.hi.copy()
-        lo[:, index] = column.lo
-        hi[:, index] = column.hi
-        return BoxArray(lo, hi)
 
     # ------------------------------------------------------------------
     # Inspection
@@ -663,29 +617,6 @@ class BoxArray:
         """Plain ``hi - lo`` without outward rounding, shape ``(m, n)``."""
         return self.hi - self.lo
 
-    def max_widths(self) -> np.ndarray:
-        """Per-box largest component width, shape ``(m,)``."""
-        if self.dimension == 0:
-            return np.zeros(len(self))
-        return self.widths().max(axis=1)
-
-    def midpoints(self) -> np.ndarray:
-        """Per-box midpoint vectors, shape ``(m, n)``."""
-        return IntervalArray(self.lo, self.hi).midpoint()
-
-    def is_finite(self) -> np.ndarray:
-        """Per-box all-components-finite mask, shape ``(m,)``."""
-        return (np.isfinite(self.lo) & np.isfinite(self.hi)).all(axis=1)
-
-    def empty_mask(self) -> np.ndarray:
-        """Per-box any-component-empty mask, shape ``(m,)``."""
-        return (self.lo > self.hi).any(axis=1)
-
-    def contains_points(self, points: np.ndarray) -> np.ndarray:
-        """Row-wise membership of ``(m, n)`` points, shape ``(m,)``."""
-        points = _as_float_array(points)
-        return ((self.lo <= points) & (points <= self.hi)).all(axis=1)
-
     # ------------------------------------------------------------------
     # Frontier operations
     # ------------------------------------------------------------------
@@ -703,17 +634,6 @@ class BoxArray:
             np.concatenate([p.lo for p in parts]),
             np.concatenate([p.hi for p in parts]),
         )
-
-    def intersection(self, other: "BoxArray") -> "BoxArray":
-        """Component-wise intersection (empty components flagged via
-        :meth:`empty_mask`, canonically ``[+inf, -inf]``)."""
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        emp = lo > hi
-        if emp.any():
-            lo = np.where(emp, _INF, lo)
-            hi = np.where(emp, -_INF, hi)
-        return BoxArray(lo, hi)
 
     def widest_dimensions(self) -> np.ndarray:
         """Per-box index of the widest component (first among ties)."""

@@ -317,7 +317,7 @@ class Scheduler:
             artifacts=[None] * len(keys),
         )
         if self._pool is not None and spec.target in family_names():
-            # Best effort: pre-compile this family's kernels in workers.
+            # Best effort: pre-compile this family's tapes in workers.
             self._pool.ensure_warm(WarmupSpec(families=(spec.target,)))
 
         with self._cond:

@@ -85,7 +85,7 @@ class Constraint:
         variable orders never evicts (or hands back) the other order's
         tape — a single-slot cache here would silently re-compile on
         every flip and, worse, made downstream caches keyed per tape
-        (kernel plans, contractor plans) churn with it.
+        (generated point functions) churn with it.
         """
         names = tuple(variable_names)
         tape = self._compiled.get(names)

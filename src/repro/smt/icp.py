@@ -36,9 +36,10 @@ __all__ = ["IcpConfig", "IcpSolver", "solve_conjunction"]
 
 #: fixpoint rounds per HC4 contraction call
 _CONTRACTOR_ROUNDS = 2
-#: skip contraction when a constraint tape exceeds this many
-#: instructions: scalar HC4 on huge NN expressions costs more than the
-#: bisections it saves (the forward pass still prunes)
+#: skip contraction when a constraint exceeds this many expression nodes
+#: (``CompiledExpression.n_nodes``, counted before value numbering, which
+#: is what the limit was tuned on): scalar HC4 on huge NN expressions
+#: costs more than the bisections it saves (the forward pass still prunes)
 _CONTRACTOR_NODE_LIMIT = 512
 
 
@@ -114,7 +115,7 @@ class IcpSolver:
             raise SolverError("ICP requires a bounded search region")
 
         tapes = [c.compiled(names) for c in constraints]
-        contract_ok = all(len(t) <= _CONTRACTOR_NODE_LIMIT for t in tapes)
+        contract_ok = all(t.n_nodes <= _CONTRACTOR_NODE_LIMIT for t in tapes)
 
         stats = SolverStats()
         start = time.perf_counter()

@@ -5,8 +5,9 @@ arrays and narrows every survivor with scalar HC4 contraction
 (:mod:`repro.smt.contractor`).  :class:`BatchedIcpSolver` is the
 structure-of-arrays fast path: the frontier lives in one contiguous
 :class:`~repro.intervals.BoxArray`, and each batch costs one forward
-interval pass per constraint (:func:`prune_masks`, through the
-expression tapes' :class:`~repro.perf.KernelPlan`).  Boxes the pass
+interval pass per constraint (:func:`prune_masks`, through
+:meth:`~repro.expr.CompiledExpression.eval_boxes`; value-numbered tapes
+evaluate each distinct subterm once).  Boxes the pass
 refutes are dropped, a box where every constraint certainly holds or
 whose widest side is below δ ends the search, and every other survivor
 is bisected.  There is no contraction step: at the frontier widths the

@@ -213,28 +213,6 @@ class TestChunkedDispatch:
         assert all(a.scenario == "linear" for a in artifacts)
         assert all(a.report is None for a in artifacts)  # stripped for transport
 
-    def test_chunk_pins_the_kernel_toggle(self):
-        """Dispatch forwards the parent's kernel switch to the worker.
-
-        Long-lived warm-pool workers keep the toggle they inherited at
-        fork time; _execute_chunk must pin it to the value the parent
-        had at submit time (here exercised in-process).
-        """
-        from repro.perf import enabled, set_enabled
-
-        from repro.engine import get_engine
-
-        scenario = get_scenario("linear")
-        payloads = [(scenario, scenario.config, get_engine("native"))]
-        before = set_enabled(True)
-        try:
-            _execute_chunk(payloads, False, kernels=False)
-            assert enabled() is False
-            _execute_chunk(payloads, False, kernels=True)
-            assert enabled() is True
-        finally:
-            set_enabled(before)
-
     def test_negative_chunksize_rejected(self):
         with pytest.raises(ValueError):
             run_batch(

@@ -50,3 +50,30 @@ def small_system(small_controller):
     from repro.dynamics import error_dynamics_system
 
     return error_dynamics_system(small_controller)
+
+
+@pytest.fixture(scope="session")
+def node_identity_tape():
+    """The tape flattening before value numbering, as a reference class.
+
+    One slot per expression node object, so a subterm built twice is
+    evaluated twice, and no constant operand is singled out: every
+    ``mul`` takes the four-product rule.  Value-numbered tapes must
+    match it bit for bit.
+    """
+    from repro.expr import CompiledExpression
+    from repro.expr.node import postorder
+
+    class NodeIdentityTape(CompiledExpression):
+        def _build(self, root) -> None:
+            slots: dict[int, int] = {}
+            order = postorder(root)
+            for node in order:
+                slot = len(slots)
+                slots[id(node)] = slot
+                instr = self._instruction(node, slots)
+                self._tape.append((instr[0], slot, *instr[1:]))
+            self._n_slots = self._n_nodes = len(order)
+            self._result_slot = slots[id(root)]
+
+    return NodeIdentityTape

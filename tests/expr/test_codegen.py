@@ -30,7 +30,6 @@ from repro.expr import (
     var,
 )
 from repro.expr.codegen import SourceBuilder, vector_field
-from repro.perf import use_kernels
 
 NAMES = ["x", "y"]
 X, Y = var("x"), var("y")
@@ -84,8 +83,7 @@ FINITE = POINTS[:3]
 
 
 def _interpreted(tapes, points):
-    with use_kernels(False):
-        return np.stack([tape.eval_points(points) for tape in tapes], axis=1)
+    return np.stack([tape.interpret_points(points) for tape in tapes], axis=1)
 
 
 def _record(fn, *args):

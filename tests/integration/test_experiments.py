@@ -19,6 +19,9 @@ from repro.experiments import (
     run_table1,
     run_trace_count_sweep,
 )
+from repro.experiments.table1 import _width_sweep_controller
+from repro.expr import compile_expression, var
+from repro.learning import proportional_controller_network
 
 
 class TestTable1Driver:
@@ -33,6 +36,32 @@ class TestTable1Driver:
             assert row.avg_iterations >= 1.0
             assert row.total_seconds > 0.0
             assert row.query_seconds > 0.0
+
+    @pytest.mark.parametrize("neurons", [2, 5, 10, 1000])
+    def test_width_sweep_controller_keeps_the_gain_at_zero(self, neurons):
+        hidden, output = _width_sweep_controller(neurons).layers
+        ref_hidden, ref_output = proportional_controller_network(neurons).layers
+        # tansig has slope 1 at 0, so the input gains are w2 @ w1
+        assert np.allclose(
+            output.weights @ hidden.weights,
+            ref_output.weights @ ref_hidden.weights,
+            rtol=1e-12,
+            atol=0.0,
+        )
+        assert np.array_equal(hidden.biases, ref_hidden.biases)
+        assert np.array_equal(output.biases, ref_output.biases)
+
+    @pytest.mark.parametrize("neurons", [2, 5, 10, 1000])
+    def test_width_sweep_controller_neurons_are_distinct(self, neurons):
+        hidden, _ = _width_sweep_controller(neurons).layers
+        rows = np.column_stack([hidden.weights, hidden.biases])
+        assert len(np.unique(rows, axis=0)) == neurons
+        # so a value-numbered tape keeps one tanh per neuron
+        (output,) = _width_sweep_controller(neurons).symbolic_outputs(
+            [var("d"), var("theta")]
+        )
+        tape = compile_expression(output, ["d", "theta"])
+        assert sum(instr[0] == "tanh" for instr in tape.instructions) == neurons
 
     def test_format(self):
         rows = run_table1(neuron_counts=(4,), seeds=(0,))

@@ -168,3 +168,40 @@ class TestAgainstBruteForce:
         result = solve_conjunction(constraints, BOX, NAMES, IcpConfig(delta=1e-2))
         # The ring always intersects the box for r <= 8 (corner norm).
         assert result.verdict is Verdict.DELTA_SAT
+
+
+class TestContractionGate:
+    """``native`` skips HC4 on constraints over 512 expression nodes,
+    counted before value numbering merges rebuilt subterms."""
+
+    @staticmethod
+    def _rebuilt_sum(copies: int):
+        expr = tanh(0.5 * var("x") + var("y")) * var("x")
+        for _ in range(copies - 1):
+            expr = expr + tanh(0.5 * var("x") + var("y")) * var("x")
+        return expr
+
+    def _contractions(self, monkeypatch, copies: int) -> int:
+        import repro.smt.icp as icp_module
+
+        calls = []
+        inner = icp_module.contract_fixpoint
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(icp_module, "contract_fixpoint", spy)
+        constraint = le(self._rebuilt_sum(copies), -0.25 * copies)
+        result = IcpSolver(IcpConfig(delta=0.05)).solve([constraint], BOX, NAMES)
+        assert result.verdict in (Verdict.UNSAT, Verdict.DELTA_SAT)
+        return len(calls)
+
+    def test_large_expression_skips_contraction_after_value_numbering(self, monkeypatch):
+        constraint = le(self._rebuilt_sum(80), 0.0)
+        tape = constraint.compiled(NAMES)
+        assert len(tape) <= 512 < tape.n_nodes
+        assert self._contractions(monkeypatch, 80) == 0
+
+    def test_small_expression_contracts(self, monkeypatch):
+        assert self._contractions(monkeypatch, 4) > 0

@@ -133,15 +133,7 @@ class TestProfileCommand:
 
         data = json.loads(out_file.read_text())
         assert data["scenario"] == "linear"
-        assert data["kernels"] is True
         assert "stage_seconds" in data
-
-    def test_profile_compare_includes_baseline(self, capsys):
-        code = main(["profile", "linear", "--repeats", "1", "--compare"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "no-kernel" in out
-        assert "speedup" in out
 
 
 class TestScenarioCommands:
