@@ -270,8 +270,7 @@ def fit_generator(
     norms_sq = np.sum(points**2, axis=1)
 
     k = template.basis_size
-    phi = template.features(points)  # (m, k)
-    grad_phi = template.gradient_features(points)  # (m, n, k)
+    phi, grad_phi = template._feature_maps(points)  # (m, k), (m, n, k)
     flows = system.f_vectorized(points)  # (m, n)
     lie_rows = np.einsum("md,mdk->mk", flows, grad_phi)  # (m, k)
 

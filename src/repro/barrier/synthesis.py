@@ -47,7 +47,7 @@ from .certificate import (
     condition7_subproblems,
 )
 from .levelset import level_bounds, quadratic_forms
-from .lp import GeneratorCandidate, LpConfig, points_from_traces
+from .lp import GeneratorCandidate, LpConfig, _unique_rows, points_from_traces
 from .sets import Rectangle
 from .templates import GeneratorTemplate, QuadraticTemplate
 
@@ -574,7 +574,7 @@ def _unsafe_boundary_samples(
                     )
             mesh = np.meshgrid(*axes, indexing="ij")
             samples.append(np.stack([m.ravel() for m in mesh], axis=-1))
-    return np.unique(np.vstack(samples), axis=0)
+    return _unique_rows(np.vstack(samples))
 
 
 def _simulate_from(

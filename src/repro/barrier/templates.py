@@ -37,71 +37,90 @@ class GeneratorTemplate:
         """Number of unknown coefficients."""
         return len(self.monomials)
 
-    @property
-    def exponent_matrix(self) -> np.ndarray:
-        """Monomial exponents as a ``(k, n)`` integer matrix (cached).
-
-        Keyed on the monomial tuple itself, so mutating the public
-        ``monomials`` list between calls invalidates correctly.
-        """
-        token = tuple(self.monomials)
-        cached = getattr(self, "_exponent_cache", None)
-        if cached is None or cached[0] != token:
-            cached = (token, np.asarray(self.monomials, dtype=np.int64))
-            self._exponent_cache = cached
-        return cached[1]
-
     # ------------------------------------------------------------------
     # Numeric features
     # ------------------------------------------------------------------
-    # Both feature maps are vectorized over all sample states per basis
-    # function, with the per-monomial exponent vectors (and the reduced
-    # derivative exponents) precomputed once instead of re-materialized
-    # every call.  The arithmetic is exactly the historical per-monomial
-    # form — ``np.prod(points ** expo, axis=1)`` — which NumPy evaluates
-    # through its scalar-integer-exponent fast path (``x**2`` is
-    # ``x*x``); a single broadcast power over an exponent *matrix* would
-    # skip that path and drift by 1 ulp, so features stay loop-shaped on
-    # purpose (cross-checked bitwise in tests/barrier).
+    # Both feature maps come from one power table per point set: one
+    # ``points ** np.full(n, e)`` per distinct exponent ``e > 0``, each
+    # column a left-to-right product of table columns.  The result equals
+    # the per-monomial ``np.prod(points ** expo, axis=1)`` bit for bit
+    # (cross-checked in tests/barrier):
+    #
+    # * the table call keeps that form's shape, ``(m, n)`` points against
+    #   an ``(n,)`` exponent vector, so NumPy runs the same ufunc loop.
+    #   That loop is NumPy's SIMD ``pow``, which is not ``x*x`` and whose
+    #   bits follow the CPU features NumPy dispatches to (see
+    #   docs/performance.md, "LP assembly");
+    # * ``pow(x, 0)`` is exactly 1.0, even for NaN and inf, and ``np.prod``
+    #   multiplies left to right from 1.0, so exponent-0 factors are dropped;
+    # * products of three or more factors keep ``np.prod`` over the
+    #   stacked factors, and with it their association order.
 
     def features(self, points: np.ndarray) -> np.ndarray:
         """Basis values ``phi_j(x_i)``, shape ``(m, k)``."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        self._check_points(points)
-        exponents = self.exponent_matrix  # (k, n)
-        columns = [np.prod(points**expo, axis=1) for expo in exponents]
-        return np.stack(columns, axis=1)
+        return self._feature_maps(points, gradients=False)[0]
 
     def gradient_features(self, points: np.ndarray) -> np.ndarray:
         """Basis gradients ``∂phi_j/∂x_d (x_i)``, shape ``(m, n, k)``."""
+        return self._feature_maps(points, values=False)[1]
+
+    def _feature_maps(
+        self, points: np.ndarray, values: bool = True, gradients: bool = True
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``(features, gradient_features)`` of one point set, one power table.
+
+        Either map is ``None`` when not requested.  The table lives only
+        for the duration of the call.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         self._check_points(points)
         m, n = points.shape
-        grads = np.zeros((m, n, self.basis_size))
-        for j, d, factor, reduced in self._gradient_terms(n):
-            grads[:, d, j] = factor * np.prod(points**reduced, axis=1)
-        return grads
+        value_factors, gradient_terms = self._factor_plan(n)
+        exponents = set()
+        if values:
+            exponents.update(e for factors in value_factors for _, e in factors)
+        if gradients:
+            exponents.update(e for *_, factors in gradient_terms for _, e in factors)
+        powers = {e: points ** np.full(n, e, dtype=np.int64) for e in exponents}
 
-    def _gradient_terms(self, n: int) -> list[tuple[int, int, int, np.ndarray]]:
-        """Nonzero ``(j, d, expo_d, reduced-exponents)`` terms (cached).
+        phi = grads = None
+        if values:
+            phi = np.empty((m, len(value_factors)))
+            for j, factors in enumerate(value_factors):
+                _product([powers[e][:, d] for d, e in factors], phi[:, j])
+        if gradients:
+            grads = np.zeros((m, n, len(value_factors)))
+            for j, d, factor, factors in gradient_terms:
+                column = grads[:, d, j]
+                _product([powers[e][:, c] for c, e in factors], column)
+                if factor != 1:
+                    column *= factor
+        return phi, grads
 
-        Keyed on ``(n, monomials)`` so edits to the public ``monomials``
-        list between calls never serve stale derivative exponents.
+    def _factor_plan(self, n: int) -> tuple[list, list]:
+        """Nonzero ``(column, exponent)`` factors of the basis (cached).
+
+        Returns the factors of every monomial, and one ``(j, d, expo_d,
+        factors)`` entry per nonzero derivative ``∂phi_j/∂x_d``, whose
+        factors are those of the reduced monomial.  Keyed on ``(n,
+        monomials)`` so edits to the public ``monomials`` list between
+        calls never serve a stale plan.
         """
         key = (n, tuple(self.monomials))
-        cached = getattr(self, "_gradient_term_cache", None)
+        cached = getattr(self, "_factor_plan_cache", None)
         if cached is not None and cached[0] == key:
             return cached[1]
-        terms = []
-        for j, expo in enumerate(self.monomials):
-            for d in range(n):
-                if expo[d] == 0:
-                    continue
-                reduced = list(expo)
-                reduced[d] -= 1
-                terms.append((j, d, expo[d], np.asarray(reduced)))
-        self._gradient_term_cache = (key, terms)
-        return terms
+        value_factors = [
+            [(d, expo[d]) for d in range(n) if expo[d] != 0] for expo in self.monomials
+        ]
+        gradient_terms = []
+        for j, factors in enumerate(value_factors):
+            for i, (d, e) in enumerate(factors):
+                reduced = factors[:i] + ([(d, e - 1)] if e > 1 else []) + factors[i + 1 :]
+                gradient_terms.append((j, d, e, reduced))
+        plan = (value_factors, gradient_terms)
+        self._factor_plan_cache = (key, plan)
+        return plan
 
     def evaluate(self, coefficients: np.ndarray, points: np.ndarray) -> np.ndarray:
         """``W(x_i)`` for fixed coefficients."""
@@ -150,6 +169,18 @@ class GeneratorTemplate:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} dim={self.dimension} basis={self.basis_size}>"
+
+
+def _product(columns: list[np.ndarray], out: np.ndarray) -> None:
+    """Write ``np.prod`` of the stacked ``columns`` (left to right) into ``out``."""
+    if not columns:
+        out[...] = 1.0
+    elif len(columns) == 1:
+        out[...] = columns[0]
+    elif len(columns) == 2:
+        np.multiply(columns[0], columns[1], out=out)
+    else:
+        np.prod(np.stack(columns, axis=1), axis=1, out=out)
 
 
 class QuadraticTemplate(GeneratorTemplate):

@@ -13,7 +13,8 @@ import pytest
 from scipy.optimize import linprog
 
 import repro.barrier.lp as lp_module
-from repro.api import get_scenario
+import repro.barrier.synthesis as synthesis_module
+from repro.api import family_names, get_family, get_scenario, scenario_names
 from repro.barrier import (
     LpConfig,
     QuadraticTemplate,
@@ -309,3 +310,35 @@ def test_boundary_samples_are_distinct(dimension, per_edge):
         (samples == safe.lower) | (samples == safe.upper), axis=1
     )
     assert on_boundary.all()
+
+
+_DEFAULT_POINTS = [("scenario", name) for name in scenario_names()] + [
+    ("family", name) for name in family_names()
+]
+
+
+@pytest.mark.parametrize(
+    "kind, name", _DEFAULT_POINTS, ids=[f"{k}:{n}" for k, n in _DEFAULT_POINTS]
+)
+def test_boundary_dedupe_matches_np_unique(kind, name, monkeypatch):
+    """``_unique_rows`` returns ``np.unique``'s rows on every default boundary.
+
+    The builtin ``cartpole`` covers the largest one: 32 samples per edge
+    in 4-D, 238,576 distinct points.
+    """
+    scenario = get_scenario(name) if kind == "scenario" else get_family(name).instantiate()
+    per_edge = scenario.config.lp.separation_samples
+    grids = []
+
+    def spy(points):
+        grids.append(points.copy())
+        return lp_module._unique_rows(points)
+
+    monkeypatch.setattr(synthesis_module, "_unique_rows", spy)
+    samples = _unsafe_boundary_samples(scenario.problem(), per_edge)
+    (grid,) = grids
+    expected = np.unique(grid, axis=0)
+    assert samples.shape == expected.shape
+    assert samples.tobytes() == expected.tobytes()
+    n = scenario.dimension
+    assert len(samples) == per_edge**n - (per_edge - 2) ** n
