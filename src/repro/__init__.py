@@ -24,12 +24,12 @@ Subpackages
                      (process-parallel) runners
 ``repro.engine``     pluggable solver stacks: :class:`~repro.engine.Engine`
                      registry bundling sim/LP/SMT backends (``native``,
-                     ``batched-icp``, ``portfolio``)
+                     ``batched-icp``)
 ``repro.expr``       symbolic expressions (eval / intervals / autodiff / tapes)
 ``repro.intervals``  sound interval arithmetic
 ``repro.smt``        branch-and-prune δ-SAT solver (the dReal stand-in)
-``repro.solvers``    external SMT portfolio: SMT-LIB emission, z3/dreal
-                     subprocess adapters, the ``portfolio`` race engine
+``repro.solvers``    external SMT solvers: SMT-LIB emission, z3/dreal
+                     subprocess adapters and probes
 ``repro.nn``         feedforward networks with dual numeric/symbolic semantics
 ``repro.sim``        ODE integrators, traces, samplers
 ``repro.dynamics``   plants, paths, Dubins car, closed-loop composition

@@ -25,8 +25,8 @@ Modules
                         hits (:mod:`repro.store`)
 
 The solver-stack registry of :mod:`repro.engine` (``native`` /
-``batched-icp`` / ``portfolio``) and the artifact
-store of :mod:`repro.store` are re-exported here so one import serves
+``batched-icp``) and the artifact store of :mod:`repro.store` are
+re-exported here so one import serves
 every registry::
 
     artifact = api.run("dubins", engine="batched-icp", cache=True)

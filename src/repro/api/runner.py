@@ -220,91 +220,30 @@ def run(
     ``True`` (default root).  ``None`` defers to the ``REPRO_CACHE``
     env var; ``False`` disables.  A hit returns the stored artifact
     (``artifact.cached`` is then True) without running any solver.
-
-    Engines whose SMT backend can delegate to *external* solver
-    binaries (the ``portfolio``) are dual-keyed: a run whose verdicts
-    actually used an external solver is stored under a key folding in
-    the available solvers' identity + version
-    (:func:`repro.solvers.solver_fingerprint`), while a run the native
-    racer decided alone stores under the plain key — identical to a
-    machine with no solvers installed.  Lookups probe the fingerprinted
-    key first, then the plain one.
     """
+    from ..store import resolve_store, run_key
+
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     effective = config or scenario.config
     engine_obj = _resolve_run_engine(scenario, effective, engine)
-    try:
-        return _run_once(scenario, effective, progress, engine_obj, cache)
-    except BrokenProcessPool as exc:
-        # Degradation ladder: unrecoverable machinery loss re-runs the
-        # request one rung down (portfolio -> batched-icp -> native).
-        # Recursing with the fallback *name* makes the degraded artifact
-        # trivially byte-identical to having asked for that engine — no
-        # stitching, no artifact-visible trace; the step-down is
-        # recorded in the incident log only.
-        from ..resilience.ladder import fallback_engine
-        from ..resilience.supervisor import record_incident
-
-        nxt = fallback_engine(engine_obj.name)
-        if nxt is None:
-            raise
-        record_incident(
-            "engine.degrade",
-            f"{engine_obj.name} -> {nxt}: {type(exc).__name__}: {exc} "
-            f"({scenario.name})",
-        )
-        return run(scenario, config=config, progress=progress, engine=nxt,
-                   cache=cache)
-
-
-def _run_once(
-    scenario: Scenario,
-    effective: SynthesisConfig,
-    progress: "ProgressCallback | None",
-    engine_obj: Engine,
-    cache: "object | None",
-) -> RunArtifact:
-    """One cache-probe + solve attempt on a resolved engine (no ladder)."""
-    from ..store import resolve_store, run_key
-
-    smt = engine_obj.smt
-    fingerprint_fn = getattr(smt, "solver_fingerprint", None)
-    fingerprint = fingerprint_fn() if callable(fingerprint_fn) else ""
     store = resolve_store(cache)
-    plain_key = None
     if store is not None:
-        plain_key = run_key(scenario, effective, engine_obj.name)
-        probe_keys = [plain_key]
-        if fingerprint:
-            probe_keys.insert(
-                0, run_key(scenario, effective, engine_obj.name, solvers=fingerprint)
-            )
-        for candidate in probe_keys:
-            hit = store.get(candidate)
-            if hit is not None:
-                hit.cached = True
-                return hit
-    begin_run = getattr(smt, "begin_run", None)
-    if callable(begin_run):
-        begin_run()
+        key = run_key(scenario, effective, engine_obj.name)
+        hit = store.get(key)
+        if hit is not None:
+            hit.cached = True
+            return hit
     pipeline = VerificationPipeline(
         config=effective, progress=progress, engine=engine_obj
     )
     outcome = pipeline.run(scenario.problem())
     artifact = _artifact_from_run(scenario, effective, outcome, engine_obj.name)
-    if store is not None and plain_key is not None and artifact.status != "inconclusive":
+    if store is not None and artifact.status != "inconclusive":
         # Inconclusive means a solver *budget* ran out — wall-clock
         # time limits make that outcome machine/load-dependent, so
         # freezing it in a content-addressed store would serve stale
         # "unknown"s forever.  Definite outcomes only.
-        used_fn = getattr(smt, "external_solvers_used", None)
-        used = used_fn() if callable(used_fn) else ()
-        key = (
-            run_key(scenario, effective, engine_obj.name, solvers=fingerprint)
-            if used
-            else plain_key
-        )
         store.put(key, artifact)
     return artifact
 

@@ -276,9 +276,16 @@ def synthesis_config_to_dict(config: SynthesisConfig) -> dict:
 
 
 #: ICP knobs that no longer exist: the batched solver stopped contracting
-#: and the scalar one contracts at fixed settings.  Artifacts, scenario
-#: files and service journals written before that still carry them.
-_RETIRED_ICP_KEYS = ("use_contractor", "contractor_node_limit", "contractor_rounds")
+#: and the scalar one contracts at fixed settings; ``solver_timeout``
+#: budgeted the external solvers of the retired ``portfolio`` engine.
+#: Artifacts, scenario files and service journals written before that
+#: still carry them.
+_RETIRED_ICP_KEYS = (
+    "use_contractor",
+    "contractor_node_limit",
+    "contractor_rounds",
+    "solver_timeout",
+)
 
 
 def synthesis_config_from_dict(data: dict) -> SynthesisConfig:

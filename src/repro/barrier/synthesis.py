@@ -136,8 +136,8 @@ class SynthesisConfig:
     #: simulation-guided LP; falls back silently if it fails check (5)
     try_lyapunov_first: bool = False
     #: solver stack to run on: a registered engine name from
-    #: :mod:`repro.engine` (``"native"``, ``"batched-icp"``,
-    #: ``"portfolio"``, a user-registered name) or an
+    #: :mod:`repro.engine` (``"native"``, ``"batched-icp"``, a
+    #: user-registered name) or an
     #: :class:`~repro.engine.Engine` object (names serialize; objects
     #: flatten to their name in :func:`synthesis_config_to_dict`)
     engine: "str | Engine" = "native"

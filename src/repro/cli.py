@@ -4,10 +4,9 @@ Commands
 --------
 scenarios list the registered verification scenarios (``--json`` for tooling)
 families  list the registered scenario families + their parameters
-engines   list the registered solver engines (``--json`` for tooling,
-          including per-engine availability + reason)
-solvers   probe the external SMT solver binaries (z3/dreal) the
-          ``portfolio`` engine races (``--json`` for tooling)
+engines   list the registered solver engines (``--json`` for tooling)
+solvers   probe the external SMT solver binaries (z3/dreal)
+          (``--json`` for tooling)
 verify    run the Figure-1 verification on a registered scenario
           (``--scenario``) or on the paper's Dubins case study with a
           hand-built, trained, or JSON-loaded controller
@@ -31,15 +30,13 @@ fuzz      differential fuzz of the scenario-family corpus: sampled
           expected-verdict conformance; failures shrink to minimal
           reproducers under ``tests/corpus/regressions/``
 chaos     re-run corpus points under seeded fault injection (worker
-          kills/hangs, solver garbage, torn journal/store writes) and
-          assert every fault is recovered or cleanly degraded: no
-          hangs, no verdict flips, no leaked processes or shm segments
+          kills/hangs, torn journal/store writes) and assert every
+          fault is recovered: no hangs, no verdict flips, no leaked
+          processes
 
 ``verify``, ``batch``, ``sweep``, and ``table1`` accept ``--engine`` to
 pick the solver stack (``repro engines`` lists them; default
-``native``); ``--engine portfolio`` races external SMT solvers against
-the batched ICP (``verify --solver-timeout`` caps each external
-subprocess, see ``docs/solvers.md``).  ``sweep`` caches artifacts under ``$REPRO_STORE`` (default
+``native``).  ``sweep`` caches artifacts under ``$REPRO_STORE`` (default
 ``~/.cache/repro/store``); ``REPRO_CACHE=1`` opts ``verify``/``batch``
 into the same cache.  ``repro serve`` exposes the same cached runs as a
 long-lived HTTP job service (see ``docs/service.md``); ``submit`` /
@@ -88,13 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_engines = sub.add_parser("engines", help="list registered solver engines")
     p_engines.add_argument(
         "--json", action="store_true",
-        help="emit the registry as JSON (for tooling), including "
-        "per-engine `available` + `reason`",
+        help="emit the registry as JSON (for tooling)",
     )
 
     p_solvers = sub.add_parser(
         "solvers",
-        help="probe the external SMT solvers the portfolio engine races",
+        help="probe the external SMT solver binaries (z3/dreal)",
     )
     p_solvers.add_argument(
         "--json", action="store_true",
@@ -135,11 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--engine", type=str, default=None,
         help="solver engine (see `repro engines`; default: native)",
-    )
-    p_verify.add_argument(
-        "--solver-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget per external SMT solver process "
-        "(portfolio engine only; default: the ICP time limit, else 30s)",
     )
 
     p_profile = sub.add_parser(
@@ -407,8 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=None,
         metavar="ENGINE",
-        help="engines to cross-check (default: native batched-icp "
-        "portfolio)",
+        help="engines to cross-check (default: native batched-icp)",
     )
     p_fuzz.add_argument(
         "--no-twins",
@@ -774,10 +764,6 @@ def _cmd_engines(args: argparse.Namespace) -> int:
     for engine in engines:
         tags = f" [{','.join(engine.tags)}]" if engine.tags else ""
         print(f"{engine.name:<{width}}{tags}  {engine.description}")
-        available, reason = engine.availability()
-        if reason:
-            marker = "" if available else "UNAVAILABLE: "
-            print(f"{'':<{width}}  ({marker}{reason})")
     print(f"\n{len(engines)} engines registered")
     return 0
 
@@ -827,13 +813,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             overrides["seed"] = args.seed
         if args.gamma is not None:
             overrides["gamma"] = args.gamma
-        icp_overrides = {}
         if args.delta is not None:
-            icp_overrides["delta"] = args.delta
-        if args.solver_timeout is not None:
-            icp_overrides["solver_timeout"] = args.solver_timeout
-        if icp_overrides:
-            overrides["icp"] = dataclasses.replace(config.icp, **icp_overrides)
+            overrides["icp"] = dataclasses.replace(config.icp, delta=args.delta)
         if overrides:
             config = dataclasses.replace(config, **overrides)
     else:
@@ -847,10 +828,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         config = SynthesisConfig(
             seed=seed,
             gamma=1e-6 if args.gamma is None else args.gamma,
-            icp=IcpConfig(
-                delta=1e-3 if args.delta is None else args.delta,
-                solver_timeout=args.solver_timeout,
-            ),
+            icp=IcpConfig(delta=1e-3 if args.delta is None else args.delta),
         )
     artifact = run(scenario, config=config, engine=args.engine)
     _print_artifact(artifact)

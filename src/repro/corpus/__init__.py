@@ -13,7 +13,6 @@ from .fuzz import (
     FUZZ_CLAMPS,
     FuzzFailure,
     FuzzReport,
-    STRICT_PARITY_ENGINES,
     VOLATILE_FIELDS,
     check_point,
     fuzz,
@@ -43,7 +42,6 @@ __all__ = [
     "FuzzReport",
     "MUTATIONS",
     "PRESERVING_MUTATIONS",
-    "STRICT_PARITY_ENGINES",
     "Twin",
     "VOLATILE_FIELDS",
     "check_point",

@@ -6,9 +6,8 @@ only at family defaults:
 
 ``cache-key``    the content-addressed store key is invariant under
                  parameter-dict reordering (canonicalisation holds)
-``cross-engine`` every engine agrees on the verdict, and the exact-
-                 degrade engines (``batched-icp`` / ``portfolio``)
-                 agree on the *entire artifact* minus timing fields
+``cross-engine`` ``native`` and ``batched-icp`` — two independent
+                 δ-SAT searches — agree on the verdict
 ``round-trip``   ``RunArtifact`` JSON serialisation round-trips to an
                  identical artifact
 ``twin``         generated twins (:mod:`repro.corpus.twins`) conform to
@@ -31,9 +30,8 @@ Two invariants get a short *deflake ladder* (retry under derived
 seeds) because the synthesis procedure is incomplete and CEGIS paths
 are seed-dependent at verify/no-candidate phase boundaries: cross-
 engine *status* agreement, and preserving-twin conformance.  The
-soundness-backed invariants — artifact parity inside the exact-degrade
-trio, flipping-twin non-verification, cache keys, JSON round-trips —
-are never retried: one miss is a failure.
+soundness-backed invariants — flipping-twin non-verification, cache
+keys, JSON round-trips — are never retried: one miss is a failure.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ __all__ = [
     "FuzzFailure",
     "FuzzReport",
     "CROSS_ENGINE_RETRY_SEEDS",
-    "STRICT_PARITY_ENGINES",
     "TWIN_RETRY_SEEDS",
     "VOLATILE_FIELDS",
     "check_point",
@@ -69,10 +66,7 @@ __all__ = [
 CHECK_KINDS = ("cache-key", "cross-engine", "round-trip", "twin")
 
 #: engines every sampled point runs under
-DEFAULT_ENGINES = ("native", "batched-icp", "portfolio")
-
-#: engines whose artifacts must match field-for-field (exact degrade)
-STRICT_PARITY_ENGINES = frozenset({"batched-icp", "portfolio"})
+DEFAULT_ENGINES = ("native", "batched-icp")
 
 #: artifact fields that cannot match across engines by construction
 VOLATILE_FIELDS = frozenset(
@@ -96,8 +90,7 @@ TWIN_RETRY_SEEDS = 3
 #: where CEGIS takes the same path; at a verify/no-candidate phase
 #: boundary the engines' different witness orders can tip different
 #: candidate sequences.  A systematically wrong engine disagrees at
-#: every seed and is still caught; artifact parity inside the
-#: exact-degrade trio is never retried — it must hold at every seed.
+#: every seed and is still caught.
 CROSS_ENGINE_RETRY_SEEDS = 3
 
 #: per-family bounds the fuzzer narrows sampling to (a 64-neuron
@@ -221,16 +214,6 @@ def _point_config(scenario, run_seed: int):
     )
 
 
-def _strippable_dict(artifact) -> dict:
-    """Artifact dict minus fields that legitimately differ per engine."""
-    data = artifact.to_dict()
-    for volatile in VOLATILE_FIELDS:
-        data.pop(volatile, None)
-    if isinstance(data.get("config"), dict):
-        data["config"].pop("engine", None)
-    return data
-
-
 def check_point(
     family_name: str,
     params: "dict[str, float | int | str]",
@@ -324,24 +307,6 @@ def check_point(
         }
         if "cross-engine" not in active:
             break
-        # artifact parity inside the exact-degrade trio holds at EVERY
-        # seed — a mismatch is a hard failure, never a flake
-        strict = [n for n in engines_to_run if n in STRICT_PARITY_ENGINES]
-        if len(strict) > 1:
-            reference = _strippable_dict(artifacts[strict[0]])
-            for name in strict[1:]:
-                candidate = _strippable_dict(artifacts[name])
-                if candidate != reference:
-                    diff = [
-                        key
-                        for key in reference
-                        if candidate.get(key) != reference.get(key)
-                    ]
-                    return fail(
-                        "cross-engine",
-                        f"artifact parity broke between {strict[0]} and "
-                        f"{name} in fields: {', '.join(diff) or '?'}",
-                    )
         statuses = {name: a.status for name, a in artifacts.items()}
         if len(set(statuses.values())) == 1:
             disagreement = None

@@ -3,7 +3,7 @@
 An :class:`Engine` bundles one backend per solver role — simulation
 (:class:`SimBackend`), LP fitting (:class:`LpBackend`), δ-SAT checking
 (:class:`SmtBackend`) — behind a string-keyed registry, mirroring the
-scenario registry of :mod:`repro.api.scenario`.  Three engines ship
+scenario registry of :mod:`repro.api.scenario`.  Two engines ship
 built in:
 
 ``native``        the historical scalar simulation and SMT code
@@ -13,10 +13,6 @@ built in:
                   one :class:`~repro.intervals.BoxArray`, pruned by
                   forward interval passes and bisected (the fast
                   in-house SMT path)
-``portfolio``     external SMT solvers (z3/dreal, via
-                  :mod:`repro.solvers`) raced against the ``batched-icp``
-                  lane; degrades to it exactly when no binaries are
-                  installed
 
 Selecting one::
 
@@ -97,23 +93,6 @@ def _register_builtins() -> None:
             lp=lp,
             smt=BatchedSmtBackend(),
             tags=("builtin",),
-        )
-    )
-    # Imported here (not at module top) because repro.solvers is pure
-    # downstream code that must stay importable without repro.engine.
-    from ..solvers.portfolio import PortfolioSmtBackend
-
-    register_engine(
-        Engine(
-            name="portfolio",
-            description="External SMT solvers (z3/dreal subprocesses over "
-            "SMT-LIB emission) raced against the batched ICP lane; "
-            "first verdict wins, exact batched-icp degrade when no "
-            "binaries are installed",
-            sim=VectorizedSimBackend(),
-            lp=lp,
-            smt=PortfolioSmtBackend(),
-            tags=("builtin", "external"),
         )
     )
 

@@ -130,23 +130,8 @@ class Engine:
                     f"{protocol.__name__}"
                 )
 
-    def availability(self) -> tuple[bool, str]:
-        """Whether the engine is usable here, and why not (or at what level).
-
-        Backends may expose their own ``availability() -> (bool, str)``
-        (the portfolio does, reporting which external solver binaries
-        were found); engines whose backends are pure in-process code are
-        unconditionally available with an empty reason.
-        """
-        probe = getattr(self.smt, "availability", None)
-        if probe is None:
-            return True, ""
-        available, reason = probe()
-        return bool(available), str(reason)
-
     def describe(self) -> dict:
         """Plain-data view for tooling (``repro engines --json``)."""
-        available, reason = self.availability()
         return {
             "name": self.name,
             "description": self.description,
@@ -154,8 +139,6 @@ class Engine:
             "lp": type(self.lp).__name__,
             "smt": type(self.smt).__name__,
             "tags": list(self.tags),
-            "available": available,
-            "reason": reason,
         }
 
 

@@ -22,7 +22,7 @@ the same subproblem-ordering contract as with the ``native`` engine.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..smt import BatchedIcpSolver, IcpConfig, SmtResult, Subproblem
 from ..smt.result import SolverStats, Verdict
@@ -40,15 +40,9 @@ class BatchedSmtBackend:
         subproblems: Sequence[Subproblem],
         names: Sequence[str],
         config: IcpConfig | None = None,
-        should_stop: "Callable[[], bool] | None" = None,
     ) -> SmtResult:
-        """Group shared-constraint subproblems into union-seeded solves.
-
-        ``should_stop`` (optional) cancels the search cooperatively —
-        see :class:`~repro.smt.BatchedIcpSolver`; the ``portfolio``
-        engine passes it, default callers never do.
-        """
-        solver = BatchedIcpSolver(config, should_stop=should_stop)
+        """Group shared-constraint subproblems into union-seeded solves."""
+        solver = BatchedIcpSolver(config)
         delta = solver.config.delta
         if not subproblems:
             return SmtResult(Verdict.UNSAT, delta)

@@ -1,4 +1,4 @@
-"""Batch simulation for ``batched-icp``/``portfolio``: one array pass.
+"""Batch simulation for ``batched-icp``: one array pass.
 
 The native seed-sim stage integrates each initial state in its own
 Python loop — for ``m`` seed traces of ``T`` steps that is ``m * T``

@@ -4,17 +4,16 @@
 differential fuzzer samples (:func:`repro.corpus.sample_corpus_point`)
 and runs each one twice — once fault-free as the baseline, once with a
 deterministic :class:`~repro.resilience.faults.FaultPlan` installed —
-rotating through a fixed catalog of fault scenarios (worker kills and
-hangs, solver garbage and hangs, torn journal lines, torn store
-writes).  Per sample the gate asserts the self-healing contract of
-PR's resilience layer:
+rotating through a fixed catalog of fault scenarios (pool worker
+kills, torn journal lines, torn store writes), all on the
+``batched-icp`` engine.  Per sample the gate asserts the self-healing
+contract of the resilience layer:
 
 * **no hang** — the faulted run finishes inside a hard wall-clock
   budget (every supervisor deadline in the stack is far shorter);
 * **no verdict flip** — the faulted artifact equals the baseline minus
   the :data:`~repro.corpus.VOLATILE_FIELDS` timing fields, i.e. every
-  injected fault was either recovered (retry, respawn, breaker skip)
-  or cleanly degraded (the engine ladder's byte-parity contract);
+  injected fault was recovered (retry, respawn, GC);
 * **clean accounting** — recovery shows up in the incident log, never
   in the artifact;
 * **no leaks** — no child process outlives its run.
@@ -35,16 +34,15 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..errors import ReproError, SolverError
+from ..errors import ReproError
 from . import faults
 from .faults import FaultAction, FaultPlan
-from .supervisor import clear_incidents, incidents, reset_breakers
+from .supervisor import clear_incidents, incidents
 
 __all__ = [
     "CHAOS_SCENARIOS",
     "ChaosOutcome",
     "ChaosReport",
-    "ChaosSolver",
     "chaos",
     "write_chaos_reproducer",
 ]
@@ -52,9 +50,6 @@ __all__ = [
 #: the fault scenarios a chaos run rotates through, in order
 CHAOS_SCENARIOS = (
     "pool-kill",
-    "solver-garbage",
-    "solver-hang",
-    "solver-spawn",
     "journal-torn",
     "store-torn",
 )
@@ -62,55 +57,6 @@ CHAOS_SCENARIOS = (
 #: hard per-sample wall-clock budget for the faulted run (seconds);
 #: generous against every supervisor deadline, tiny against a real hang
 DEFAULT_HARD_TIMEOUT = 120.0
-
-
-class ChaosSolver:
-    """An in-process fake external solver for chaos and tests.
-
-    Always answers ``unknown`` (a *recognized* transcript), so the
-    portfolio's verdict is always decided by the native ICP lane and
-    the faulted/baseline artifact comparison stays byte-stable.  Its
-    ``solve`` walks the same seam + circuit-breaker choreography the
-    real subprocess adapter does: ``solver.spawn`` faults raise before
-    any output, ``solver.output`` hangs park on the cancel event (never
-    wedging a portfolio race), and garbage transcripts count as breaker
-    failures.
-    """
-
-    name = "chaos"
-
-    def probe(self, refresh: bool = False):
-        from ..solvers.backends import SolverInfo
-
-        return SolverInfo(
-            name=self.name, command="<in-process>", available=True, version="0"
-        )
-
-    def supports(self, ops: frozenset) -> bool:
-        return True
-
-    def solve(self, query, timeout: float = 30.0, cancel=None):
-        from ..smt import SmtResult
-        from ..smt.result import Verdict
-        from ..solvers.backends import solver_breaker, transcript_recognized
-
-        breaker = solver_breaker(self.name)
-        if faults.fire("solver.spawn", self.name) is not None:
-            breaker.record_failure()
-            raise SolverError("chaos solver: injected spawn fault")
-        action = faults.fire("solver.output", self.name)
-        if action is not None and action.kind == "hang":
-            waiter = cancel if cancel is not None else threading.Event()
-            waiter.wait(min(timeout, faults.HANG_SECONDS))
-            return SmtResult(Verdict.UNKNOWN, query.delta)
-        transcript = "unknown\n"
-        if action is not None and action.kind == "garbage":
-            transcript = action.payload or "Segmentation fault (core dumped)\n<<?>>"
-        if not transcript_recognized(transcript):
-            breaker.record_failure()
-            return SmtResult(Verdict.UNKNOWN, query.delta)
-        breaker.record_success()
-        return SmtResult(Verdict.UNKNOWN, query.delta)
 
 
 @dataclass
@@ -132,8 +78,6 @@ class ChaosOutcome:
     incidents: "dict[str, int]" = field(default_factory=dict)
     #: True when at least one fault fired and the verdict still held
     recovered: bool = False
-    #: True when the engine ladder stepped down
-    degraded: bool = False
     leaked_pids: "list[int]" = field(default_factory=list)
     seconds: float = 0.0
 
@@ -163,7 +107,6 @@ class ChaosReport:
             "samples": self.samples,
             "ok": self.ok,
             "recovered": sum(o.recovered for o in self.outcomes),
-            "degraded": sum(o.degraded for o in self.outcomes),
             "faults_fired": sum(len(o.fired) for o in self.outcomes),
             "outcomes": [o.to_dict() for o in self.outcomes],
         }
@@ -173,8 +116,7 @@ class ChaosReport:
         lines = [
             f"chaos: {len(self.outcomes)}/{self.samples} samples "
             f"(seed {self.seed}), {fired} faults fired, "
-            f"{sum(o.recovered for o in self.outcomes)} recovered, "
-            f"{sum(o.degraded for o in self.outcomes)} degraded"
+            f"{sum(o.recovered for o in self.outcomes)} recovered"
         ]
         for o in self.outcomes:
             if o.ok:
@@ -185,7 +127,7 @@ class ChaosReport:
                 f"engine={o.engine}: {o.detail}"
             )
         if self.ok:
-            lines.append("  every fault recovered or cleanly degraded")
+            lines.append("  every fault recovered")
         return "\n".join(lines)
 
 
@@ -218,18 +160,6 @@ def _env(overrides: "dict[str, str]"):
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = old
-
-
-@contextlib.contextmanager
-def _chaos_solver_registered():
-    from ..solvers.backends import register_solver, unregister_solver
-
-    solver = ChaosSolver()
-    register_solver(solver, replace=True)
-    try:
-        yield solver
-    finally:
-        unregister_solver(solver.name)
 
 
 class ChaosHang(ReproError):
@@ -295,20 +225,12 @@ def _point_setup(family_name: str, params: dict, seed: int):
 
 
 # ----------------------------------------------------------------------
-# Scenario table: (engine, env overrides, plan builder)
+# Scenario table: (env overrides, plan builder)
 # ----------------------------------------------------------------------
 def _plan_for(scenario: str, at: int) -> FaultPlan:
     """The deterministic fault schedule of one chaos scenario."""
     if scenario == "pool-kill":
         actions = (FaultAction("pool.worker", "kill", at=0),)
-    elif scenario == "solver-garbage":
-        actions = (FaultAction("solver.output", "garbage", at=at),)
-    elif scenario == "solver-hang":
-        actions = (FaultAction("solver.output", "hang", at=at),)
-    elif scenario == "solver-spawn":
-        # A persistently failing launch: enough consecutive failures to
-        # open the circuit (threshold 3) and exercise breaker skips.
-        actions = (FaultAction("solver.spawn", "error", at=0, count=99),)
     elif scenario == "journal-torn":
         actions = (FaultAction("journal.append", "torn", at=at),)
     elif scenario == "store-torn":
@@ -318,14 +240,8 @@ def _plan_for(scenario: str, at: int) -> FaultPlan:
     return FaultPlan(actions=actions, label=scenario)
 
 
-_SCENARIO_ENGINE = {
-    "pool-kill": "batched-icp",
-    "solver-garbage": "portfolio",
-    "solver-hang": "portfolio",
-    "solver-spawn": "portfolio",
-    "journal-torn": "batched-icp",
-    "store-torn": "batched-icp",
-}
+#: every chaos scenario runs on the fast in-house engine
+_ENGINE = "batched-icp"
 
 _SCENARIO_ENV = {
     # A SIGSTOPped pool worker is caught by the chunk deadline.
@@ -336,30 +252,6 @@ _SCENARIO_ENV = {
 # ----------------------------------------------------------------------
 # Per-scenario executions
 # ----------------------------------------------------------------------
-def _exec_run(family_name, params, seed, engine, plan, hard_timeout):
-    """Baseline-vs-faulted comparison through :func:`repro.api.run`."""
-    from ..api import run
-
-    scenario, config = _point_setup(family_name, params, seed)
-    baseline = run(scenario, config=config, engine=engine, cache=False)
-    reset_breakers()
-    clear_incidents()
-    with faults.injected(plan):
-        faulted = _guarded(
-            lambda: run(scenario, config=config, engine=engine, cache=False),
-            hard_timeout,
-        )
-        fired = faults.fired_faults()
-    if _strip(faulted) != _strip(baseline):
-        diff = [
-            key
-            for key, value in _strip(baseline).items()
-            if _strip(faulted).get(key) != value
-        ]
-        return False, f"verdict/artifact flip in fields: {', '.join(diff)}", fired
-    return True, "", fired
-
-
 def _exec_batch(family_name, params, seed, engine, plan, hard_timeout, index):
     """Baseline-vs-faulted comparison through :func:`repro.api.run_batch`."""
     from ..api.runner import run_batch
@@ -370,7 +262,6 @@ def _exec_batch(family_name, params, seed, engine, plan, hard_timeout, index):
     scenario_b, _ = _point_setup(family_name, other, seed)
     pair = [scenario_a, scenario_b]
     baseline = run_batch(pair, workers=2, seed=seed, engine=engine, cache=False)
-    reset_breakers()
     clear_incidents()
     with faults.injected(plan):
         faulted = _guarded(
@@ -392,7 +283,6 @@ def _exec_journal(family_name, params, seed, engine, plan, hard_timeout):
 
     scenario, config = _point_setup(family_name, params, seed)
     baseline = run(scenario, config=config, engine=engine, cache=False)
-    reset_breakers()
     clear_incidents()
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         journal = JobJournal(pathlib.Path(tmp) / "journal.jsonl")
@@ -449,7 +339,6 @@ def _exec_store(family_name, params, seed, engine, plan, hard_timeout):
 
     scenario, config = _point_setup(family_name, params, seed)
     baseline = run(scenario, config=config, engine=engine, cache=False)
-    reset_breakers()
     clear_incidents()
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         store = ArtifactStore(tmp)
@@ -526,7 +415,7 @@ def chaos(
         params = sample_corpus_point(family_name, index, seed)
         rng = random_module.Random(derive_scenario_seed(seed, f"chaos#{index}"))
         plan = _plan_for(chaos_name, at=rng.randint(0, 2))
-        engine = _SCENARIO_ENGINE[chaos_name]
+        engine = _ENGINE
         if progress is not None:
             shown = ", ".join(f"{k}={v}" for k, v in sorted(params.items()))
             progress(
@@ -538,12 +427,8 @@ def chaos(
             p.pid for p in mp.active_children() if p.pid is not None
         )
         started = time.monotonic()
-        needs_solver = chaos_name.startswith("solver-")
-        solver_scope = (
-            _chaos_solver_registered() if needs_solver else contextlib.nullcontext()
-        )
         try:
-            with _env(_SCENARIO_ENV.get(chaos_name, {})), solver_scope:
+            with _env(_SCENARIO_ENV.get(chaos_name, {})):
                 if chaos_name == "pool-kill":
                     ok, detail, fired = _exec_batch(
                         family_name, params, seed, engine, plan, hard_timeout, index
@@ -552,12 +437,8 @@ def chaos(
                     ok, detail, fired = _exec_journal(
                         family_name, params, seed, engine, plan, hard_timeout
                     )
-                elif chaos_name == "store-torn":
-                    ok, detail, fired = _exec_store(
-                        family_name, params, seed, engine, plan, hard_timeout
-                    )
                 else:
-                    ok, detail, fired = _exec_run(
+                    ok, detail, fired = _exec_store(
                         family_name, params, seed, engine, plan, hard_timeout
                     )
         except ChaosHang as exc:
@@ -573,7 +454,6 @@ def chaos(
         incident_counts: dict[str, int] = {}
         for entry in incidents():
             incident_counts[entry["kind"]] = incident_counts.get(entry["kind"], 0) + 1
-        degraded = bool(incident_counts.get("engine.degrade"))
         leaked_pids = _leaked_children(before_children)
         if ok and leaked_pids:
             ok = False
@@ -592,7 +472,6 @@ def chaos(
             fired=list(fired),
             incidents=incident_counts,
             recovered=bool(ok and fired),
-            degraded=degraded,
             leaked_pids=leaked_pids,
             seconds=elapsed,
         )

@@ -2,8 +2,8 @@
 
 Every verdict-producing layer of the system has *seams*: named points
 where the cooperative-environment assumption can break — a pool worker
-can be OOM-killed or wedge, an external solver can print garbage, a
-journal append can tear mid-line.  This module gives each seam a name
+can be OOM-killed or wedge, a store write or a journal append can
+tear mid-line.  This module gives each seam a name
 and a single cheap hook (:func:`fire`) the hot paths call; with no
 :class:`FaultPlan` installed (the production default) the hook is one
 ``None`` check and nothing else, so the seam wiring is free and the
@@ -22,8 +22,6 @@ each):
 
 ========================= ============================================
 ``pool.worker``           warm-pool worker during a chunk dispatch
-``solver.spawn``          external solver subprocess launch
-``solver.output``         external solver transcript parsing
 ``store.read``            artifact store entry read
 ``store.write``           artifact store tmp-write → rename commit
 ``journal.append``        service job-journal record append
@@ -63,8 +61,6 @@ __all__ = [
 #: every named seam wired into the execution stack
 SEAMS = (
     "pool.worker",
-    "solver.spawn",
-    "solver.output",
     "store.read",
     "store.write",
     "journal.append",
@@ -73,8 +69,6 @@ SEAMS = (
 #: fault kinds that make sense at each seam (random plans draw from this)
 SEAM_KINDS: "dict[str, tuple[str, ...]]" = {
     "pool.worker": ("kill", "hang"),
-    "solver.spawn": ("error",),
-    "solver.output": ("garbage", "hang"),
     "store.read": ("garbage", "error"),
     "store.write": ("torn", "error"),
     "journal.append": ("torn", "error"),
@@ -82,12 +76,6 @@ SEAM_KINDS: "dict[str, tuple[str, ...]]" = {
 
 #: all fault kinds, in one place for validation
 KINDS = ("kill", "hang", "garbage", "torn", "error")
-
-#: how long an injected ``hang`` stays wedged before releasing on its
-#: own — a backstop so a supervisor bug can never deadlock a test run;
-#: every supervisor deadline in the stack is far shorter than this.
-HANG_SECONDS = 60.0
-
 
 @dataclass(frozen=True)
 class FaultAction:

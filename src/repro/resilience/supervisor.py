@@ -1,20 +1,15 @@
-"""Self-healing primitives: backoff schedules, circuit breakers, incidents.
+"""Self-healing primitives: backoff schedules and the incident log.
 
-Three small pieces shared by every supervised layer of the stack:
+Two small pieces shared by every supervised layer of the stack:
 
 * :class:`Backoff` — a capped exponential retry schedule with
   deterministic decorrelated jitter (seeded per instance, so tests and
   chaos runs are replayable).
-* :class:`CircuitBreaker` — the classic CLOSED → OPEN → HALF_OPEN state
-  machine used to stop re-racing a flapping external solver on every
-  query.  Opens after ``threshold`` consecutive failures, waits out a
-  ``cooldown``, then admits exactly one half-open probe; a probe success
-  closes it, a probe failure re-opens it with the cooldown re-armed.
 * The **incident log** — a bounded, process-global record of every
-  recovery event (worker respawn, breaker trip, engine degradation,
-  job retry).  Recovery accounting lives *here* and never inside run
-  artifacts, which is what keeps degraded artifacts byte-identical to
-  the fallback engine's own output.
+  recovery event (worker respawn, chunk retry, job retry).  Recovery
+  accounting lives *here* and never inside run artifacts, which is
+  what keeps a recovered run's artifact byte-identical to a
+  fault-free one.
 """
 
 from __future__ import annotations
@@ -27,12 +22,9 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "Backoff",
-    "CircuitBreaker",
-    "breaker_for",
     "clear_incidents",
     "incidents",
     "record_incident",
-    "reset_breakers",
 ]
 
 
@@ -62,134 +54,6 @@ class Backoff:
         if d > 0:
             time.sleep(d)
         return d
-
-
-class CircuitBreaker:
-    """Per-dependency circuit breaker (thread-safe).
-
-    States:
-
-    * **CLOSED** — calls flow; ``threshold`` consecutive failures trip
-      the breaker.
-    * **OPEN** — calls are refused (``allow()`` is ``False``) until
-      ``cooldown`` seconds pass.
-    * **HALF_OPEN** — after the cooldown, exactly one caller is admitted
-      as a probe; its outcome closes or re-opens the breaker.
-
-    Timeouts are deliberately *not* failures here: a slow-but-correct
-    solver losing the race is healthy behaviour, while spawn errors and
-    unparseable transcripts mean the dependency itself is broken.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-    def __init__(
-        self,
-        name: str,
-        threshold: int = 3,
-        cooldown: float = 30.0,
-        clock=time.monotonic,
-    ) -> None:
-        self.name = name
-        self.threshold = max(1, threshold)
-        self.cooldown = cooldown
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._failures = 0
-        self._state = self.CLOSED
-        self._opened_at = 0.0
-        self._probing = False
-        self._probe_claimed_at = 0.0
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return self._effective_state()
-
-    def _effective_state(self) -> str:
-        if self._state == self.OPEN and (
-            self._clock() - self._opened_at >= self.cooldown
-        ):
-            return self.HALF_OPEN
-        return self._state
-
-    def allow(self) -> bool:
-        """Whether a call may proceed; claims the half-open probe slot.
-
-        A claimed probe that never reports an outcome (e.g. its race
-        was cancelled and the solver timed out, which is breaker-
-        neutral) expires after another cooldown so the breaker can
-        never wedge itself shut.
-        """
-        with self._lock:
-            state = self._effective_state()
-            if state == self.CLOSED:
-                return True
-            if state == self.HALF_OPEN:
-                now = self._clock()
-                if self._probing and (
-                    now - self._probe_claimed_at < self.cooldown
-                ):
-                    return False
-                self._probing = True
-                self._probe_claimed_at = now
-                return True
-            return False
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._failures = 0
-            self._probing = False
-            if self._state != self.CLOSED:
-                self._state = self.CLOSED
-                record_incident(
-                    "breaker.close", f"circuit for {self.name} closed after probe"
-                )
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self._probing = False
-            self._failures += 1
-            was = self._effective_state()
-            if was == self.HALF_OPEN or self._failures >= self.threshold:
-                self._state = self.OPEN
-                self._opened_at = self._clock()
-                self._failures = 0
-                record_incident(
-                    "breaker.open",
-                    f"circuit for {self.name} opened "
-                    f"({'probe failed' if was == self.HALF_OPEN else 'threshold hit'})",
-                )
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "name": self.name,
-                "state": self._effective_state(),
-                "failures": self._failures,
-            }
-
-
-_BREAKERS: "dict[str, CircuitBreaker]" = {}
-_BREAKERS_LOCK = threading.Lock()
-
-
-def breaker_for(name: str, threshold: int = 3, cooldown: float = 30.0) -> CircuitBreaker:
-    """The process-wide breaker guarding dependency ``name``."""
-    with _BREAKERS_LOCK:
-        breaker = _BREAKERS.get(name)
-        if breaker is None:
-            breaker = CircuitBreaker(name, threshold=threshold, cooldown=cooldown)
-            _BREAKERS[name] = breaker
-        return breaker
-
-
-def reset_breakers() -> None:
-    """Forget all breakers (tests / chaos isolation)."""
-    with _BREAKERS_LOCK:
-        _BREAKERS.clear()
 
 
 @dataclass

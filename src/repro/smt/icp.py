@@ -58,18 +58,12 @@ class IcpConfig:
         Budget on processed boxes; exceeding it returns UNKNOWN.
     time_limit:
         Wall-clock budget in seconds (None = unlimited).
-    solver_timeout:
-        Hard wall-clock budget in seconds for *external* SMT solver
-        processes raced by the ``portfolio`` engine (see
-        :mod:`repro.solvers`).  ``None`` falls back to ``time_limit``
-        when set, else 30 seconds.  Ignored by the in-house ICP solvers.
     """
 
     delta: float = 1e-3
     batch_size: int = 256
     max_boxes: int = 2_000_000
     time_limit: float | None = None
-    solver_timeout: float | None = None
 
     def __post_init__(self) -> None:
         if self.delta <= 0.0:
@@ -78,8 +72,6 @@ class IcpConfig:
             raise SolverError("batch_size must be >= 1")
         if self.max_boxes < 1:
             raise SolverError("max_boxes must be >= 1")
-        if self.solver_timeout is not None and self.solver_timeout <= 0.0:
-            raise SolverError("solver_timeout must be positive")
 
 
 class IcpSolver:

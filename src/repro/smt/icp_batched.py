@@ -25,7 +25,7 @@ searches, which makes ``native`` an independent reference oracle.
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -83,22 +83,10 @@ def _interleave_halves(left: BoxArray, right: BoxArray) -> BoxArray:
 
 
 class BatchedIcpSolver:
-    """Drop-in :class:`~repro.smt.IcpSolver` twin over a ``BoxArray`` frontier.
+    """Drop-in :class:`~repro.smt.IcpSolver` twin over a ``BoxArray`` frontier."""
 
-    ``should_stop`` (optional) is polled once per frontier batch; when it
-    returns True the solve returns UNKNOWN early.  The ``portfolio``
-    engine uses it to cancel the in-house search the moment an external
-    solver reaches a verdict first — with the default ``None`` the search
-    semantics are exactly the historical ones.
-    """
-
-    def __init__(
-        self,
-        config: IcpConfig | None = None,
-        should_stop: "Callable[[], bool] | None" = None,
-    ):
+    def __init__(self, config: IcpConfig | None = None):
         self.config = config or IcpConfig()
-        self.should_stop = should_stop
 
     def solve(
         self,
@@ -136,9 +124,6 @@ class BatchedIcpSolver:
 
         while len(frontier):
             if deadline is not None and time.perf_counter() > deadline:
-                stats.elapsed_seconds = time.perf_counter() - start
-                return SmtResult(Verdict.UNKNOWN, config.delta, stats=stats)
-            if self.should_stop is not None and self.should_stop():
                 stats.elapsed_seconds = time.perf_counter() - start
                 return SmtResult(Verdict.UNKNOWN, config.delta, stats=stats)
             if stats.boxes_processed >= config.max_boxes:
@@ -297,10 +282,6 @@ class BatchedIcpSolver:
 
         while len(frontier):
             if deadline is not None and time.perf_counter() > deadline:
-                if best_tag is not None:
-                    return finish(Verdict.DELTA_SAT, best_box)
-                return finish(Verdict.UNKNOWN)
-            if self.should_stop is not None and self.should_stop():
                 if best_tag is not None:
                     return finish(Verdict.DELTA_SAT, best_box)
                 return finish(Verdict.UNKNOWN)

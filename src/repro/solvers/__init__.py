@@ -1,20 +1,19 @@
-"""External SMT solver portfolio (Z3 / dReal) over SMT-LIB emission.
+"""External SMT solvers (Z3 / dReal) over SMT-LIB emission.
 
 The paper delegates its δ-SAT checks to an external nonlinear solver;
-this package restores that option next to the in-house ICP:
+this package keeps the pieces for handing a barrier condition to one:
 
 * :mod:`repro.solvers.smtlib` — deterministic SMT-LIB 2 emission from
   the existing constraint/expression layer (exact decimal literals, no
   scientific notation, transcendental-op tracking);
 * :mod:`repro.solvers.backends` — subprocess adapters for Z3 and dReal
   with hard wall-clock deadlines, verdict/model parsing, availability
-  probing, and a registry for third-party adapters;
-* :mod:`repro.solvers.portfolio` — the ``portfolio`` engine backend
-  racing external solvers against the batched ICP solver
-  (first-verdict-wins, losers cancelled, exact degrade to
-  ``batched-icp`` when no binaries are installed).
+  probing, and a registry for third-party adapters.
 
-See ``docs/solvers.md`` for the install matrix and timeout semantics.
+No engine dispatches to them: ``repro solvers`` probes the binaries,
+and an independent re-check of stored certificates is their intended
+caller.  See ``docs/solvers.md`` for the install matrix and timeout
+semantics.
 """
 
 from .backends import (
@@ -32,7 +31,6 @@ from .backends import (
     result_from_model,
     solver_names,
 )
-from .portfolio import PortfolioSmtBackend, effective_timeout, solver_fingerprint
 from .smtlib import (
     TRANSCENDENTAL_OPS,
     SmtLibQuery,
@@ -48,13 +46,11 @@ __all__ = [
     "TRANSCENDENTAL_OPS",
     "DRealSolver",
     "ExternalSolver",
-    "PortfolioSmtBackend",
     "SmtLibQuery",
     "SolverInfo",
     "Z3Solver",
     "constraint_to_smtlib",
     "decimal_literal",
-    "effective_timeout",
     "emit_query",
     "expr_to_smtlib",
     "external_solvers",
@@ -64,7 +60,6 @@ __all__ = [
     "probe_all",
     "register_solver",
     "result_from_model",
-    "solver_fingerprint",
     "solver_names",
     "symbol",
 ]

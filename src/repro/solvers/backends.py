@@ -25,6 +25,7 @@ import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import tempfile
 import threading
@@ -52,48 +53,10 @@ __all__ = [
     "solver_names",
     "external_solvers",
     "probe_all",
-    "solver_breaker",
-    "transcript_recognized",
 ]
 
-#: Wall-clock budget (seconds) per external solve when the config sets
-#: neither ``solver_timeout`` nor ``time_limit``.
+#: Default wall-clock budget (seconds) per external solve.
 DEFAULT_TIMEOUT = 30.0
-
-#: verdict tokens a healthy solver transcript must contain one of
-_VERDICT_TOKENS = ("unsat", "delta-sat", "sat", "unknown", "timeout")
-
-
-def transcript_recognized(text: str) -> bool:
-    """Whether ``text`` contains any verdict line a solver can emit.
-
-    The circuit breaker's parse-failure signal: a transcript with no
-    ``sat``/``unsat``/``delta-sat``/``unknown``/``timeout`` line at all
-    is crash chatter or corruption — the *solver* is broken, as opposed
-    to a legitimate UNKNOWN, which is the solver working and declining.
-    """
-    lowered = text.lower()
-    for line in lowered.splitlines():
-        stripped = line.strip()
-        if stripped in ("unsat", "sat", "unknown", "timeout"):
-            return True
-        if stripped.startswith("delta-sat"):
-            return True
-    return False
-
-
-def solver_breaker(name: str):
-    """The circuit breaker guarding external solver ``name``.
-
-    Opens after :class:`~repro.resilience.CircuitBreaker.threshold`
-    consecutive spawn failures or unrecognizable transcripts; the
-    portfolio skips open solvers instead of re-racing a flapping binary
-    on every check.  Timeouts never count — a slow solver losing races
-    is healthy.
-    """
-    from ..resilience.supervisor import breaker_for
-
-    return breaker_for(f"solver.{name}")
 
 #: A model maps variable names to exact values or (lo, hi) intervals.
 ModelValue = "float | tuple[float, float]"
@@ -116,7 +79,7 @@ class SolverInfo:
 
 @runtime_checkable
 class ExternalSolver(Protocol):
-    """Adapter contract the portfolio races.
+    """Adapter contract for an external δ-SAT solver.
 
     Implementations must be safe to call from worker threads: ``solve``
     may run concurrently with ``probe`` and with other solves.
@@ -136,7 +99,6 @@ class ExternalSolver(Protocol):
         self,
         query: SmtLibQuery,
         timeout: float = DEFAULT_TIMEOUT,
-        cancel: "threading.Event | None" = None,
     ) -> SmtResult:
         """Dispatch ``query`` with a hard deadline; UNKNOWN on timeout."""
         ...
@@ -369,15 +331,14 @@ def result_from_model(
 
 
 def _run_with_deadline(
-    command: Sequence[str],
-    timeout: float,
-    cancel: "threading.Event | None",
+    command: Sequence[str], timeout: float
 ) -> "tuple[str | None, bool]":
-    """Run ``command``, killing it at the deadline or on ``cancel``.
+    """Run ``command``, killing its process group at the deadline.
 
-    Returns ``(stdout, timed_out)``; stdout is None when the process
-    could not be collected after a kill.  Polls in ~50 ms steps so a
-    portfolio loser dies promptly once a rival wins.
+    Returns ``(stdout, timed_out)``; stdout is None when the output
+    could not be collected after the kill.  The solver runs in its own
+    session, so the kill also reaches anything it spawned — a wrapper
+    script's child would otherwise outlive it and hold the pipe open.
     """
     try:
         process = subprocess.Popen(
@@ -386,26 +347,24 @@ def _run_with_deadline(
             stderr=subprocess.STDOUT,
             stdin=subprocess.DEVNULL,
             text=True,
+            start_new_session=True,
         )
     except OSError as exc:
         raise SolverError(f"failed to launch {command[0]!r}: {exc}") from exc
-    deadline = time.monotonic() + timeout
-    while True:
-        step = min(0.05, max(0.0, deadline - time.monotonic()))
-        try:
-            stdout, _ = process.communicate(timeout=step)
-            return stdout, False
-        except subprocess.TimeoutExpired:
-            expired = time.monotonic() >= deadline
-            cancelled = cancel is not None and cancel.is_set()
-            if not (expired or cancelled):
-                continue
-            process.kill()
-            try:
-                stdout, _ = process.communicate(timeout=2.0)
-            except subprocess.TimeoutExpired:
-                stdout = None
-            return stdout, True
+    try:
+        stdout, _ = process.communicate(timeout=timeout)
+        return stdout, False
+    except subprocess.TimeoutExpired:
+        pass
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except OSError:
+        process.kill()
+    try:
+        stdout, _ = process.communicate(timeout=2.0)
+    except subprocess.TimeoutExpired:
+        stdout = None
+    return stdout, True
 
 
 class _SubprocessSolver:
@@ -472,36 +431,18 @@ class _SubprocessSolver:
         return True
 
     def solve(
-        self,
-        query: SmtLibQuery,
-        timeout: float = DEFAULT_TIMEOUT,
-        cancel: "threading.Event | None" = None,
+        self, query: SmtLibQuery, timeout: float = DEFAULT_TIMEOUT
     ) -> SmtResult:
         """Write the script, dispatch the binary, parse the verdict.
 
-        Timeout/cancel/garbage all collapse to UNKNOWN — an external
-        solver can never make the pipeline worse than inconclusive.
-        Outcomes feed the per-solver circuit breaker
-        (:func:`solver_breaker`): spawn failures and unrecognizable
-        transcripts count against it, recognized transcripts reset it,
-        and timeouts are neutral.
+        A timeout or an unrecognizable transcript is UNKNOWN — an
+        external solver can never make a check worse than inconclusive.
         """
-        from ..resilience import faults
-
         info = self.probe()
         if not info.available:
             raise SolverError(f"{self.name} is not available: {info.reason}")
         if timeout <= 0.0:
             raise SolverError(f"timeout must be positive, got {timeout}")
-        breaker = solver_breaker(self.name)
-        if faults.fire("solver.spawn", self.name) is not None:
-            # Injected spawn loss takes the exact shape of the real one
-            # (`failed to launch`, below) so recovery under test *is*
-            # the production path: breaker counts it, portfolio skips.
-            breaker.record_failure()
-            raise SolverError(
-                f"failed to launch {info.command!r}: injected spawn fault"
-            )
         descriptor, path = tempfile.mkstemp(
             suffix=".smt2", prefix=f"repro-{self.name}-"
         )
@@ -510,10 +451,7 @@ class _SubprocessSolver:
             with os.fdopen(descriptor, "w") as handle:
                 handle.write(self._script(query))
             command = self._command(info.command, path, query, timeout)
-            stdout, timed_out = _run_with_deadline(command, timeout, cancel)
-        except SolverError:
-            breaker.record_failure()
-            raise
+            stdout, timed_out = _run_with_deadline(command, timeout)
         finally:
             try:
                 os.unlink(path)
@@ -522,20 +460,6 @@ class _SubprocessSolver:
         stats = SolverStats(elapsed_seconds=time.perf_counter() - start)
         if timed_out or stdout is None:
             return SmtResult(Verdict.UNKNOWN, query.delta, stats=stats)
-        action = faults.fire("solver.output", self.name)
-        if action is not None:
-            if action.kind == "hang":
-                # A wedged solver holding its pipe open: wait out the
-                # budget (cancel-aware, so a lost race still dies
-                # promptly) and report the timeout-shaped UNKNOWN.
-                waiter = cancel if cancel is not None else threading.Event()
-                waiter.wait(min(timeout, faults.HANG_SECONDS))
-                return SmtResult(Verdict.UNKNOWN, query.delta, stats=stats)
-            stdout = action.payload or "Segmentation fault (core dumped)\n<<?>>"
-        if not transcript_recognized(stdout):
-            breaker.record_failure()
-            return SmtResult(Verdict.UNKNOWN, query.delta, stats=stats)
-        breaker.record_success()
         verdict, model = self._parse(stdout, query.names)
         return result_from_model(verdict, model, query, stats)
 
@@ -610,7 +534,7 @@ _REGISTRY_LOCK = threading.Lock()
 
 
 def register_solver(solver: ExternalSolver, replace: bool = False) -> None:
-    """Add an adapter to the portfolio's solver pool."""
+    """Add an adapter to the external-solver registry."""
     if not solver.name:
         raise SolverError("external solver must have a non-empty name")
     with _REGISTRY_LOCK:
@@ -622,7 +546,7 @@ def register_solver(solver: ExternalSolver, replace: bool = False) -> None:
 
 
 def unregister_solver(name: str) -> None:
-    """Remove an adapter from the pool (tests and the chaos harness)."""
+    """Remove an adapter from the registry (missing names are ignored)."""
     with _REGISTRY_LOCK:
         _REGISTRY.pop(name, None)
 

@@ -213,7 +213,7 @@ def emit_query(
     Deterministic: identical subproblems and names yield byte-identical
     text (the golden-corpus tests pin this).  Raises
     :class:`~repro.errors.SolverError` on an empty union or an unbounded
-    region — the portfolio falls back to the native solver in that case.
+    region.
     """
     names = tuple(names)
     if not subproblems:

@@ -86,8 +86,9 @@ CACHE_ENV = "REPRO_CACHE"
 #: before ICP, so CEGIS counterexamples and the artifacts' new
 #: ``screened_counterexamples`` field differ; 5: ``batched-icp`` no
 #: longer contracts, so its searches and witnesses differ, and the
-#: config dict lost the three contractor knobs)
-FINGERPRINT_VERSION = 5
+#: config dict lost the three contractor knobs; 6: the config dict lost
+#: the external-solver timeout of the retired ``portfolio`` engine)
+FINGERPRINT_VERSION = 6
 
 #: ``.tmp`` leftovers older than this are treated as crashed writers'
 #: debris and swept by :meth:`ArtifactStore.collect_garbage` (and by
@@ -195,7 +196,6 @@ def run_fingerprint(
     scenario: "Scenario",
     config: "SynthesisConfig",
     engine_name: str,
-    solvers: "str | None" = None,
 ) -> dict:
     """The canonical plain-data identity of one verification run.
 
@@ -205,13 +205,6 @@ def run_fingerprint(
     factory fingerprint.  The flattened config carries the synthesis
     seed, so changing *any* knob (seed, delta, gamma, budgets, engine,
     parameters) changes the key.
-
-    ``solvers`` is the external-solver fingerprint
-    (:func:`repro.solvers.solver_fingerprint`) and only participates
-    when non-empty: a ``portfolio`` run whose verdicts came from an
-    external binary is keyed by that binary's identity + version, while
-    a run the native racer decided alone keys identically to having no
-    externals installed at all.
     """
     from ..api.scenario import synthesis_config_to_dict
 
@@ -228,26 +221,22 @@ def run_fingerprint(
             "unsafe_set": _set_fingerprint(scenario.unsafe_set),
             "domain": _set_fingerprint(scenario.domain),
         }
-    fingerprint = {
+    return {
         "version": FINGERPRINT_VERSION,
         "identity": identity,
         "engine": engine_name,
         "config": _json_safe(synthesis_config_to_dict(config)),
     }
-    if solvers:
-        fingerprint["solvers"] = solvers
-    return fingerprint
 
 
 def run_key(
     scenario: "Scenario",
     config: "SynthesisConfig",
     engine_name: str,
-    solvers: "str | None" = None,
 ) -> str:
     """sha256 hex digest of the canonical run fingerprint."""
     payload = json.dumps(
-        run_fingerprint(scenario, config, engine_name, solvers=solvers),
+        run_fingerprint(scenario, config, engine_name),
         sort_keys=True,
         separators=(",", ":"),
     )

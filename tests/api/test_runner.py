@@ -51,6 +51,10 @@ class TestRun:
         with pytest.raises(ReproError, match="unknown scenario"):
             run("does-not-exist")
 
+    def test_retired_portfolio_engine_raises(self):
+        with pytest.raises(ReproError, match="registered engines: batched-icp, native"):
+            run("linear", engine="portfolio", cache=False)
+
 
 class TestArtifactSerialization:
     def test_json_round_trip(self, linear_artifact):

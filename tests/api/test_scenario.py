@@ -158,8 +158,8 @@ class TestConfigSerialization:
         assert rebuilt.icp.delta == 1e-2
 
     def test_artifact_with_retired_icp_keys_loads(self):
-        # an artifact config as written before the contractor knobs were
-        # retired from IcpConfig
+        # an artifact config as written before the contractor knobs and
+        # the portfolio engine's solver timeout were retired
         old_config = {
             "seed": 0, "num_seed_traces": 20, "trace_duration": 12.0,
             "trace_dt": 0.05, "integrator": "rk4", "gamma": 1e-06,
@@ -174,15 +174,17 @@ class TestConfigSerialization:
                 "delta": 0.001, "batch_size": 256, "max_boxes": 2000000,
                 "time_limit": None, "use_contractor": True,
                 "contractor_node_limit": 512, "contractor_rounds": 2,
-                "solver_timeout": None,
+                "solver_timeout": 7.5,
             },
             "seed_from_initial_set": True, "try_lyapunov_first": False,
-            "engine": "native",
+            "engine": "portfolio",
         }
         artifact = RunArtifact.from_json(
             json.dumps({"scenario": "linear", "status": "verified",
                         "verified": True, "config": old_config})
         )
         config = artifact.synthesis_config
-        assert config == SynthesisConfig()
-        assert "use_contractor" not in synthesis_config_to_dict(config)["icp"]
+        assert config == SynthesisConfig(engine="portfolio")
+        flat_icp = synthesis_config_to_dict(config)["icp"]
+        assert "use_contractor" not in flat_icp
+        assert "solver_timeout" not in flat_icp

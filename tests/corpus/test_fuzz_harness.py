@@ -25,7 +25,7 @@ from repro.corpus import (
     shrink_failure,
     write_regression,
 )
-from repro.corpus.fuzz import FUZZ_CLAMPS, STRICT_PARITY_ENGINES
+from repro.corpus.fuzz import FUZZ_CLAMPS
 from repro.engine import Engine, get_engine, register_engine
 from repro.engine.base import unregister_engine
 from repro.errors import ReproError
@@ -208,8 +208,7 @@ def test_report_format_mentions_the_cheap_tier():
 
 
 def test_default_engine_set_is_the_full_matrix():
-    assert DEFAULT_ENGINES == ("native", "batched-icp", "portfolio")
-    assert STRICT_PARITY_ENGINES <= set(DEFAULT_ENGINES)
+    assert DEFAULT_ENGINES == ("native", "batched-icp")
     assert CHECK_KINDS == ("cache-key", "cross-engine", "round-trip", "twin")
 
 

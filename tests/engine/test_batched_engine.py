@@ -30,10 +30,6 @@ class TestRegistration:
         assert isinstance(engine.smt, BatchedSmtBackend)
         assert "builtin" in engine.tags
 
-    def test_portfolio_races_batched_backend(self):
-        portfolio = get_engine("portfolio").smt
-        assert isinstance(portfolio._native_backend(), BatchedSmtBackend)
-
     def test_cli_lists_batched(self, capsys):
         from repro.cli import main
 

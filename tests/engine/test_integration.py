@@ -47,12 +47,10 @@ class TestVerifySystem:
     def test_all_builtin_engines_agree_on_linear(self, linear_problem):
         reports = {
             name: verify_system(linear_problem, engine=name)
-            for name in ("native", "batched-icp", "portfolio")
+            for name in ("native", "batched-icp")
         }
         levels = {name: r.level for name, r in reports.items()}
         assert all(r.verified for r in reports.values())
-        # portfolio without binaries degrades exactly: bit-identical level.
-        assert levels["portfolio"] == levels["batched-icp"]
         # the batch integrator walks the same grid to float accuracy.
         assert levels["batched-icp"] == pytest.approx(levels["native"], rel=1e-6)
 
@@ -143,10 +141,10 @@ class TestConfigSerialization:
 
     def test_engine_object_flattens_to_name(self):
         config = dataclasses.replace(
-            SynthesisConfig(), engine=get_engine("portfolio")
+            SynthesisConfig(), engine=get_engine("batched-icp")
         )
         data = synthesis_config_to_dict(config)
-        assert data["engine"] == "portfolio"
+        assert data["engine"] == "batched-icp"
 
     def test_legacy_dict_without_engine_defaults_native(self):
         data = synthesis_config_to_dict(SynthesisConfig())

@@ -25,8 +25,8 @@ from repro.errors import ReproError
 
 
 class TestBuiltins:
-    def test_three_builtins_registered(self):
-        assert set(engine_names()) >= {"native", "batched-icp", "portfolio"}
+    def test_two_builtins_registered(self):
+        assert engine_names() == ("batched-icp", "native")
 
     def test_list_is_sorted(self):
         names = [e.name for e in list_engines()]
@@ -43,14 +43,6 @@ class TestBuiltins:
         assert isinstance(batched.sim, VectorizedSimBackend)
         assert isinstance(batched.lp, NativeLpBackend)
         assert isinstance(batched.smt, BatchedSmtBackend)
-
-    def test_portfolio_swaps_only_smt(self):
-        from repro.solvers import PortfolioSmtBackend
-
-        portfolio = get_engine("portfolio")
-        assert isinstance(portfolio.sim, VectorizedSimBackend)
-        assert isinstance(portfolio.lp, NativeLpBackend)
-        assert isinstance(portfolio.smt, PortfolioSmtBackend)
 
     def test_backends_satisfy_protocols(self):
         for engine in list_engines():
@@ -113,7 +105,7 @@ class TestResolve:
         assert resolve_engine("batched-icp").name == "batched-icp"
 
     def test_engine_object_passes_through(self):
-        engine = get_engine("portfolio")
+        engine = get_engine("batched-icp")
         assert resolve_engine(engine) is engine
 
     def test_bad_type_rejected(self):

@@ -1,72 +1,31 @@
-"""The chaos harness: fake solver, report plumbing, a tiny campaign."""
+"""The chaos harness: report plumbing and a tiny campaign."""
 
 from __future__ import annotations
 
 import json
-import threading
 
 import pytest
 
-from repro.errors import ReproError, SolverError
+from repro.errors import ReproError
 from repro.resilience import faults
 from repro.resilience.chaos import (
     CHAOS_SCENARIOS,
     ChaosOutcome,
     ChaosReport,
-    ChaosSolver,
     chaos,
     write_chaos_reproducer,
 )
 from repro.resilience.faults import FaultAction, FaultPlan
-from repro.resilience.supervisor import clear_incidents, reset_breakers
+from repro.resilience.supervisor import clear_incidents
 
 
 @pytest.fixture(autouse=True)
 def _clean_state():
     faults.clear_plan()
-    reset_breakers()
     clear_incidents()
     yield
     faults.clear_plan()
-    reset_breakers()
     clear_incidents()
-
-
-def _query():
-    from repro.solvers.smtlib import SmtLibQuery
-
-    return SmtLibQuery(text="(check-sat)", names=("x",), ops=frozenset(), delta=0.01)
-
-
-class TestChaosSolver:
-    def test_fault_free_answer_is_unknown(self):
-        from repro.smt.result import Verdict
-
-        result = ChaosSolver().solve(_query(), timeout=1.0)
-        assert result.verdict is Verdict.UNKNOWN
-
-    def test_spawn_fault_raises_solver_error(self):
-        plan = FaultPlan((FaultAction("solver.spawn", "error", at=0),))
-        with faults.injected(plan):
-            with pytest.raises(SolverError):
-                ChaosSolver().solve(_query(), timeout=1.0)
-
-    def test_hang_parks_on_the_cancel_event(self):
-        plan = FaultPlan((FaultAction("solver.output", "hang", at=0),))
-        cancel = threading.Event()
-        cancel.set()  # already cancelled: the hang must return immediately
-        with faults.injected(plan):
-            result = ChaosSolver().solve(_query(), timeout=30.0, cancel=cancel)
-        assert result is not None
-
-    def test_garbage_counts_as_breaker_failure(self):
-        from repro.resilience.supervisor import breaker_for
-
-        plan = FaultPlan((FaultAction("solver.output", "garbage", at=0, count=3),))
-        with faults.injected(plan):
-            for _ in range(3):
-                ChaosSolver().solve(_query(), timeout=1.0)
-        assert breaker_for("solver.chaos").state == "open"
 
 
 class TestReportPlumbing:
@@ -133,4 +92,4 @@ class TestCampaign:
 
     def test_scenario_rotation_covers_the_catalog(self):
         assert len(set(CHAOS_SCENARIOS)) == len(CHAOS_SCENARIOS)
-        assert set(CHAOS_SCENARIOS) >= {"pool-kill", "solver-hang", "store-torn"}
+        assert CHAOS_SCENARIOS == ("pool-kill", "journal-torn", "store-torn")

@@ -32,7 +32,7 @@ class TestFaultAction:
             FaultAction("pool.worker", "kill", count=0)
 
     def test_round_trips_through_dict(self):
-        action = FaultAction("solver.output", "garbage", at=2, count=3, payload="x")
+        action = FaultAction("store.read", "garbage", at=2, count=3, payload="x")
         assert FaultAction.from_dict(action.to_dict()) == action
 
 
@@ -51,9 +51,9 @@ class TestFire:
         assert faults.fire("pool.worker") is None
 
     def test_count_covers_consecutive_hits(self):
-        plan = FaultPlan((FaultAction("solver.spawn", "error", at=1, count=2),))
+        plan = FaultPlan((FaultAction("store.write", "error", at=1, count=2),))
         faults.install_plan(plan)
-        hits = [faults.fire("solver.spawn") for _ in range(4)]
+        hits = [faults.fire("store.write") for _ in range(4)]
         assert [a is not None for a in hits] == [False, True, True, False]
 
     def test_counters_are_per_seam(self):

@@ -1,4 +1,4 @@
-"""Backoff, circuit breaker state machine, and the incident log."""
+"""Backoff and the incident log."""
 
 from __future__ import annotations
 
@@ -6,21 +6,16 @@ import pytest
 
 from repro.resilience.supervisor import (
     Backoff,
-    CircuitBreaker,
-    breaker_for,
     clear_incidents,
     incidents,
     record_incident,
-    reset_breakers,
 )
 
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    reset_breakers()
     clear_incidents()
     yield
-    reset_breakers()
     clear_incidents()
 
 
@@ -38,95 +33,7 @@ class TestBackoff:
             assert 0.5 * raw <= delay <= raw
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 100.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestCircuitBreaker:
-    def make(self, threshold=3, cooldown=10.0):
-        clock = FakeClock()
-        return CircuitBreaker("dep", threshold=threshold, cooldown=cooldown, clock=clock), clock
-
-    def test_opens_after_threshold_consecutive_failures(self):
-        breaker, _ = self.make()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow()
-
-    def test_success_resets_the_failure_streak(self):
-        breaker, _ = self.make()
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_half_open_admits_exactly_one_probe(self):
-        breaker, clock = self.make()
-        for _ in range(3):
-            breaker.record_failure()
-        clock.now += 10.0
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert breaker.allow()
-        assert not breaker.allow()  # probe slot already claimed
-
-    def test_probe_success_closes(self):
-        breaker, clock = self.make()
-        for _ in range(3):
-            breaker.record_failure()
-        clock.now += 10.0
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.allow()
-
-    def test_probe_failure_reopens_and_rearms_cooldown(self):
-        breaker, clock = self.make()
-        for _ in range(3):
-            breaker.record_failure()
-        clock.now += 10.0
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow()
-        clock.now += 10.0
-        assert breaker.allow()  # next probe window
-
-    def test_abandoned_probe_claim_expires(self):
-        """A probe that never reports an outcome cannot wedge the breaker."""
-        breaker, clock = self.make()
-        for _ in range(3):
-            breaker.record_failure()
-        clock.now += 10.0
-        assert breaker.allow()  # claimed, then the caller vanishes
-        assert not breaker.allow()
-        clock.now += 10.0  # claim older than one cooldown
-        assert breaker.allow()
-
-    def test_trip_and_close_are_incidents(self):
-        breaker, clock = self.make()
-        for _ in range(3):
-            breaker.record_failure()
-        clock.now += 10.0
-        breaker.allow()
-        breaker.record_success()
-        kinds = [e["kind"] for e in incidents()]
-        assert kinds == ["breaker.open", "breaker.close"]
-
-
 class TestRegistryAndIncidents:
-    def test_breaker_for_returns_same_instance(self):
-        assert breaker_for("solver.z3") is breaker_for("solver.z3")
-        assert breaker_for("solver.z3") is not breaker_for("solver.dreal")
-
     def test_incident_log_is_bounded(self):
         for i in range(600):
             record_incident("test.flood", str(i))

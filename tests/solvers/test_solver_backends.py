@@ -3,23 +3,25 @@
 Everything here runs with **no real solver installed**: verdict parsing
 is exercised on canned transcripts, and the subprocess machinery on tiny
 shell scripts injected via the ``REPRO_Z3`` env var — so CI always
-covers the portfolio path.
+covers the adapters.
 """
 
 from __future__ import annotations
 
 import stat
-import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.api import get_scenario, scenario_names
+from repro.barrier.certificate import condition5_subproblems
 from repro.errors import SolverError
-from repro.expr import var
+from repro.expr import sum_expr, var
 from repro.intervals import Box, Interval
 from repro.smt import Subproblem, Verdict, ge, le
 from repro.solvers import (
+    TRANSCENDENTAL_OPS,
     DRealSolver,
     ExternalSolver,
     SolverInfo,
@@ -305,25 +307,6 @@ class TestSubprocessDispatch:
         assert result.verdict is Verdict.UNKNOWN
         assert elapsed < 10.0, f"kill took {elapsed:.1f}s"
 
-    def test_cancel_event_kills_promptly(self, monkeypatch, tmp_path):
-        fake = _fake_binary(
-            tmp_path, "fakez3",
-            'case "$1" in --version) echo "Z3 version 4.99.0";; '
-            "*) sleep 60;; esac\n",
-        )
-        monkeypatch.setenv("REPRO_Z3", str(fake))
-        cancel = threading.Event()
-        timer = threading.Timer(0.3, cancel.set)
-        timer.start()
-        try:
-            start = time.monotonic()
-            result = Z3Solver().solve(_query(), timeout=30.0, cancel=cancel)
-            elapsed = time.monotonic() - start
-        finally:
-            timer.cancel()
-        assert result.verdict is Verdict.UNKNOWN
-        assert elapsed < 10.0, f"cancel took {elapsed:.1f}s"
-
     def test_temp_script_cleaned_up(self, monkeypatch, tmp_path):
         fake = _fake_binary(
             tmp_path, "fakez3",
@@ -386,3 +369,22 @@ def test_env_vars_documented_in_help(capsys):
     assert main(["solvers"]) == 0
     out = capsys.readouterr().out
     assert "REPRO_Z3" in out
+
+
+def _check5_query(name):
+    problem = get_scenario(name).problem()
+    w = sum_expr([var(n) * var(n) for n in problem.state_names])
+    subs = condition5_subproblems(w, problem, gamma=1e-6)
+    return emit_query(subs, problem.state_names, 1e-3)
+
+
+def test_z3_eligibility_split():
+    """The pure-NRA scenarios must remain z3-eligible (see test_golden)."""
+    z3 = Z3Solver()
+    pure, transcendental = [], []
+    for name in sorted(scenario_names()):
+        query = _check5_query(name)
+        (pure if z3.supports(query.ops) else transcendental).append(name)
+    assert pure == ["double-integrator", "linear", "vanderpol"]
+    assert set(transcendental) == {"bicycle", "cartpole", "dubins", "pendulum"}
+    assert all(TRANSCENDENTAL_OPS >= _check5_query(n).ops for n in transcendental)

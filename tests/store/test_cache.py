@@ -108,22 +108,22 @@ class TestRunKey:
             (
                 lambda: api.get_scenario("linear"),
                 "native",
-                "8dd1ae057b285b091c283c81953c55aee4c77280a9a3f6fb6ba4610e5a02e8f1",
+                "00f814079c0da5f487c5e0a49dbc3a0c979d14166a0774bd4750aa4d327434c2",
             ),
             (
                 lambda: api.get_scenario("dubins"),
                 "batched-icp",
-                "119eda0143bdfc425f2e77acb766b5b115ae4d5460411cbbcd7a59ea5f7e1f4a",
+                "0f43b9403c2f8371258c9e86248407553787c94c059d935065d26b437ed30657",
             ),
             (
                 lambda: api.get_family("cartpole").instantiate(),
                 "batched-icp",
-                "31ca9a4d4a6a9ed7bf73b554e6753e392600c7edabe71701d8e8833f9fbf6885",
+                "21616cf9d2a7c1655618fd340b8b124d2b64b8ad4487da5634973ef8e6f91020",
             ),
             (
                 lambda: api.get_family("dubins").instantiate(),
-                "portfolio",
-                "bb9e9ae6c047f8107819f20884d362743cac6aed8c5f52cc180fd7900b18fabc",
+                "batched-icp",
+                "9f39f09fafc20c4ed737e395aa1756d0b72b3b0b329106a98feea0e6dbfd1b05",
             ),
         ],
         ids=["linear-native", "dubins-batched", "cartpole-family", "dubins-family"],

@@ -49,9 +49,9 @@ class TestParser:
         )
         assert (
             build_parser()
-            .parse_args(["table1", "--engine", "portfolio"])
+            .parse_args(["table1", "--engine", "native"])
             .engine
-            == "portfolio"
+            == "native"
         )
 
 
@@ -251,7 +251,7 @@ class TestEngineCommands:
         code = main(["engines"])
         out = capsys.readouterr().out
         assert code == 0
-        for name in ("native", "batched-icp", "portfolio"):
+        for name in ("native", "batched-icp"):
             assert name in out
         assert out.rstrip().endswith("engines registered")
 
@@ -263,19 +263,19 @@ class TestEngineCommands:
         assert code == 0
         payload = json.loads(out)
         by_name = {entry["name"]: entry for entry in payload}
-        assert {"native", "batched-icp", "portfolio"} <= set(by_name)
+        assert set(by_name) == {"native", "batched-icp"}
         assert by_name["batched-icp"]["sim"] == "VectorizedSimBackend"
         assert by_name["batched-icp"]["smt"] == "BatchedSmtBackend"
 
-    def test_exactly_three_builtin_engines(self, capsys):
+    def test_exactly_two_builtin_engines(self, capsys):
         import json
 
         from repro.errors import ReproError
 
         assert main(["engines", "--json"]) == 0
         names = [entry["name"] for entry in json.loads(capsys.readouterr().out)]
-        assert names == ["batched-icp", "native", "portfolio"]
-        for removed in ("sharded-icp", "parallel-smt", "vectorized"):
+        assert names == ["batched-icp", "native"]
+        for removed in ("sharded-icp", "parallel-smt", "vectorized", "portfolio"):
             with pytest.raises(ReproError, match="unknown engine"):
                 main(["verify", "--scenario", "linear", "--engine", removed])
 
@@ -344,43 +344,9 @@ class TestSolverCommands:
             if not entry["available"]:
                 assert entry["reason"]
 
-    def test_engines_json_reports_availability(self, capsys):
-        import json
-
-        code = main(["engines", "--json"])
-        out = capsys.readouterr().out
-        assert code == 0
-        by_name = {entry["name"]: entry for entry in json.loads(out)}
-        assert "portfolio" in by_name
-        for entry in by_name.values():
-            assert isinstance(entry["available"], bool)
-            assert isinstance(entry["reason"], str)
-        assert by_name["portfolio"]["available"] is True
-        assert "batched-icp" in by_name["portfolio"]["reason"]
-
-    def test_engines_table_shows_portfolio_reason(self, capsys):
-        code = main(["engines"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "portfolio" in out
-        # The degraded-vs-racing status line is printed under the entry.
-        assert "batched-icp" in out
-
-    def test_verify_solver_timeout_threads_into_config(self, capsys, tmp_path):
-        from repro.api import RunArtifact
-
-        out_file = tmp_path / "out.json"
-        code = main(
-            ["verify", "--scenario", "linear", "--engine", "batched-icp",
-             "--solver-timeout", "7.5", "--json", str(out_file)]
-        )
-        capsys.readouterr()
-        assert code == 0
-        artifact = RunArtifact.from_json(out_file.read_text())
-        assert artifact.config["icp"]["solver_timeout"] == 7.5
-
-    def test_verify_rejects_bad_solver_timeout(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError, match="solver_timeout"):
-            main(["verify", "--scenario", "linear", "--solver-timeout", "-1"])
+    def test_verify_has_no_solver_timeout_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["verify", "--scenario", "linear", "--solver-timeout", "7.5"]
+            )
+        assert "--solver-timeout" in capsys.readouterr().err
