@@ -460,9 +460,11 @@ def _inject_pool_fault(executor) -> None:
     """Fire the ``pool.worker`` seam: signal a real worker of ``executor``.
 
     Master-side (one deterministic counter): a ``kill`` SIGKILLs the
-    lowest-pid worker mid-dispatch, a ``hang`` SIGSTOPs it — exercising
-    respectively the ``BrokenProcessPool`` and the chunk-deadline
-    recovery paths below.
+    lowest-pid worker mid-dispatch, a ``hang`` SIGSTOPs every worker —
+    exercising respectively the ``BrokenProcessPool`` and the
+    chunk-deadline recovery paths below.  A hang stops them all because
+    a single stopped worker may hold no chunk yet: the others would
+    finish the batch and the deadline would never fire.
     """
     from ..resilience import faults
 
@@ -476,11 +478,15 @@ def _inject_pool_fault(executor) -> None:
         return
     import signal
 
-    sig = signal.SIGKILL if action.kind == "kill" else signal.SIGSTOP
-    try:
-        os.kill(pids[0], sig)
-    except OSError:  # pragma: no cover - victim already exited
-        pass
+    if action.kind == "kill":
+        victims, sig = pids[:1], signal.SIGKILL
+    else:
+        victims, sig = pids, signal.SIGSTOP
+    for pid in victims:
+        try:
+            os.kill(pid, sig)
+        except OSError:  # pragma: no cover - victim already exited
+            pass
 
 
 def _dispatch_supervised(

@@ -21,7 +21,7 @@ Lyapunov literature the paper builds on [11].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import OptimizeResult, linprog
@@ -181,7 +181,9 @@ def _solve_by_row_generation(
         active[violated[worst]] = True
 
 
-def _unique_rows(points: np.ndarray) -> np.ndarray:
+def _unique_rows(
+    points: np.ndarray, where: Callable[[np.ndarray], np.ndarray] | None = None
+) -> np.ndarray:
     """``np.unique(points, axis=0)``, row for row, by lexsort.
 
     ``np.unique`` sorts rows through a structured-dtype view with a
@@ -191,12 +193,19 @@ def _unique_rows(points: np.ndarray) -> np.ndarray:
     zero, and for a group that mixes ``0.0`` and ``-0.0`` ``np.unique``
     keeps whichever member its unstable sort puts first — so such
     clouds, and clouds with NaNs, are handed to ``np.unique`` itself.
+
+    ``where``, a row mask function that is constant on each group of
+    equal rows, keeps the distinct rows it accepts: ``u[where(u)]`` for
+    ``u = np.unique(points, axis=0)``.  The rejected rows are dropped
+    before the sort, so a mixed-zero group among them costs nothing.
     """
-    ordered = points[np.lexsort(points.T[::-1])]
+    kept = points if where is None else points[where(points)]
+    ordered = kept[np.lexsort(kept.T[::-1])]
     repeat = (ordered[1:] == ordered[:-1]).all(axis=1)
     mixed_zeros = np.signbit(ordered[1:]) != np.signbit(ordered[:-1])
     if mixed_zeros[repeat].any() or np.isnan(ordered).any():
-        return np.unique(points, axis=0)
+        unique = np.unique(points, axis=0)
+        return unique if where is None else unique[where(unique)]
     first = np.empty(len(ordered), dtype=bool)
     first[:1] = True
     first[1:] = ~repeat
@@ -258,10 +267,13 @@ def fit_generator(
             f"points are {points.shape[1]}-D but template is {template.dimension}-D"
         )
 
-    # Deduplicate and thin the point cloud.
-    points = _unique_rows(np.round(points, decimals=12))
-    norms_sq = np.sum(points**2, axis=1)
-    points = points[norms_sq > config.origin_exclusion**2]
+    def off_origin(rows: np.ndarray) -> np.ndarray:
+        return np.sum(rows**2, axis=1) > config.origin_exclusion**2
+
+    # Deduplicate and thin the point cloud.  Excluding the origin inside
+    # the dedupe drops the converged ``±0.0`` trace tails before they
+    # can send it to ``np.unique``.
+    points = _unique_rows(np.round(points, decimals=12), where=off_origin)
     if len(points) == 0:
         raise LinearProgramError("all sample points collapse onto the origin")
     if len(points) > config.max_points:

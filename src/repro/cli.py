@@ -30,7 +30,7 @@ fuzz      differential fuzz of the scenario-family corpus: sampled
           expected-verdict conformance; failures shrink to minimal
           reproducers under ``tests/corpus/regressions/``
 chaos     re-run corpus points under seeded fault injection (worker
-          kills/hangs, torn journal/store writes) and assert every
+          kills, torn journal/store writes) and assert every
           fault is recovered: no hangs, no verdict flips, no leaked
           processes
 

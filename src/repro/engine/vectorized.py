@@ -13,16 +13,22 @@ Each RK stage is one call of the system's batch field
 (:meth:`~repro.dynamics.ContinuousSystem.batch_field`): for the builtin
 systems a generated straight-line NumPy function (see
 :mod:`repro.expr.codegen`), called without per-call argument checks.
-The integrator keeps the live ``(m, n)`` block in hand: while every row
-is alive it writes ``history[k]`` by slice, and the per-row bookkeeping
-(sample counts, truncation flags, the live-row index) runs only on the
-steps where some row stops.
+Liveness is deferred: the live ``(m, n)`` block takes a chunk of
+:data:`_CHUNK` steps into ``history`` without looking at its rows, then
+one survivors pass over the chunk's ``(_CHUNK * b, n)`` slab finds each
+row's first stop step, and stopped rows leave the block only at the
+chunk boundary.  Rows that stopped inside a chunk step on to its end
+under ``np.errstate(all="ignore")``; those samples are never read.
 
 Semantics match the native fixed-step driver: the shared time grid
 (including the final partial step), the blow-up guard, the non-finite
-cutoff, and per-trajectory early stopping all behave identically — only
-the execution order of floating-point work differs, so traces agree to
-integrator accuracy rather than bit-for-bit.
+cutoff, and per-trajectory early stopping all behave identically, and a
+per-state stop condition sees exactly the states the per-step loop
+would show it.  Because the batch field works row by row, each trace is
+bit for bit the one a one-row loop over the same stepper and field
+gives, whatever else is in the block.  The native backend evaluates the
+field through another code path, so against it traces agree to
+integrator accuracy.
 
 The adaptive ``rk45`` method steps each trajectory on its own time grid
 and cannot share an array pass; it falls back to the native driver.
@@ -58,6 +64,10 @@ def _batch_field(system) -> Callable[[np.ndarray], np.ndarray]:
 # The canonical scalar steppers are pure NumPy expressions, so with a
 # batched field they broadcast over (m, n) state arrays unchanged.
 _BATCH_STEPPERS = {"rk4": rk4_step, "euler": euler_step}
+
+#: steps between liveness checks: one survivors pass per chunk instead of
+#: one per step, at the cost of stepping stopped rows to the chunk's end
+_CHUNK = 16
 
 
 class VectorizedSimBackend:
@@ -112,26 +122,42 @@ class VectorizedSimBackend:
         #: the live block and the history rows it belongs to
         states = history[0]
         active = np.arange(m)
+        batch_stop = getattr(stop_condition, "batch", None)
+        scalar_stop = stop_condition if batch_stop is None else None
 
-        for k, h in enumerate(steps, start=1):
-            states = stepper(field, states, float(h))
-            if len(active) == m:
-                history[k] = states
-            else:
-                history[k, active] = states
-            finite, keep = self._survivors(states, stop_condition)
-            if keep.all():
-                continue
-            # Some rows stop at step k.  Non-finite states are dropped
-            # (native: break before append); blow-ups and stop events
-            # keep the final sample.
-            stopped = ~keep
-            counts[active[stopped]] = np.where(finite[stopped], k + 1, k)
-            truncated[active[stopped]] = True
-            active = active[keep]
-            states = states[keep]
-            if active.size == 0:
-                break
+        k = 0  # steps taken so far
+        while k < total_steps and active.size:
+            chunk = steps[k : k + _CHUNK]
+            c, b = len(chunk), active.size
+            # All rows live: step straight into history; else into a
+            # chunk buffer scattered back once.
+            slab = history[k + 1 : k + 1 + c] if b == m else np.empty((c, b, n))
+            # Rows that stopped inside the chunk keep stepping to its
+            # end; their samples past the stop are never read, and the
+            # floating-point errors they raise are not reported.
+            with np.errstate(all="ignore"):
+                for j, h in enumerate(chunk):
+                    states = stepper(field, states, float(h))
+                    slab[j] = states
+                finite, keep = self._survivors(slab.reshape(c * b, n), batch_stop)
+            finite, keep = finite.reshape(c, b), keep.reshape(c, b)
+            if scalar_stop is not None:
+                _scalar_stops(scalar_stop, slab, keep)
+            if b < m:
+                history[k + 1 : k + 1 + c, active] = slab
+            stops = ~keep.all(axis=0)
+            if stops.any():
+                # Each stopping row stops at its first failed step.
+                # Non-finite states are dropped (native: break before
+                # append); blow-ups and stop events keep the final sample.
+                rows = np.flatnonzero(stops)
+                first = keep[:, rows].argmin(axis=0)
+                step = k + 1 + first
+                counts[active[rows]] = np.where(finite[first, rows], step + 1, step)
+                truncated[active[rows]] = True
+                active = active[~stops]
+                states = states[~stops]
+            k += c
 
         return [
             Trace(
@@ -144,28 +170,34 @@ class VectorizedSimBackend:
         ]
 
     def _survivors(
-        self, states: np.ndarray, stop_condition
+        self, states: np.ndarray, batch_stop
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Row masks ``(finite, keep)`` after one step of the live block."""
+        """Row masks ``(finite, keep)`` over a block of stepped states."""
         finite = np.isfinite(states).all(axis=1)
         keep = finite.copy()
         if self.blowup_norm is not None:
             # np.linalg.norm(states, axis=1), without its dispatch
             norms = np.sqrt(np.add.reduce(states * states, axis=1))
             keep &= ~(norms > self.blowup_norm)
-        if stop_condition is not None:
-            batch_stop = getattr(stop_condition, "batch", None)
-            if batch_stop is not None:
-                # Vector-aware condition (e.g. the synthesis loop's
-                # domain-exit test): one array pass for the whole block
-                # instead of one call per live row.
-                keep &= ~np.asarray(batch_stop(states), dtype=bool)
-            else:
-                keep &= ~np.array(
-                    [
-                        bool(stop_condition(state)) if alive else False
-                        for state, alive in zip(states, keep)
-                    ],
-                    dtype=bool,
-                )
+        if batch_stop is not None:
+            # Vector-aware condition (e.g. the synthesis loop's
+            # domain-exit test): one array pass for the whole chunk
+            # instead of one call per live row and step.
+            keep &= ~np.asarray(batch_stop(states), dtype=bool)
         return finite, keep
+
+
+def _scalar_stops(stop_condition, slab: np.ndarray, keep: np.ndarray) -> None:
+    """Fold a per-state stop condition into the chunk's ``(c, b)`` ``keep``.
+
+    Each row's condition sees its states in step order up to the row's
+    first stop, and never a non-finite or blown-up state: the calls the
+    per-step loop would make, no more.
+    """
+    for row in range(keep.shape[1]):
+        for j in range(keep.shape[0]):
+            if not keep[j, row]:
+                break
+            if stop_condition(slab[j, row]):
+                keep[j, row] = False
+                break

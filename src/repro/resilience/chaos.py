@@ -244,7 +244,9 @@ def _plan_for(scenario: str, at: int) -> FaultPlan:
 _ENGINE = "batched-icp"
 
 _SCENARIO_ENV = {
-    # A SIGSTOPped pool worker is caught by the chunk deadline.
+    # The SIGKILLed worker surfaces as BrokenProcessPool; the chunk
+    # deadline is a backstop that turns a chunk which never answers into
+    # a rebuild well inside the hard per-sample budget.
     "pool-kill": {"REPRO_CHUNK_TIMEOUT": "60"},
 }
 

@@ -192,3 +192,75 @@ class TestUniqueRows:
         on_axis = np.column_stack([points[:5, 0], np.full(5, zero)])
         points = np.vstack([points, points[:700], on_axis, on_axis + 0.0])
         assert _bitwise_equal(_unique_rows(points), np.unique(points, axis=0))
+
+
+def _off_origin(rows: np.ndarray, radius: float = LpConfig().origin_exclusion) -> np.ndarray:
+    return np.sum(rows**2, axis=1) > radius**2
+
+
+def _dedupe_then_exclude(points: np.ndarray) -> np.ndarray:
+    """The LP's cloud as deduplicated first and then cut around the origin."""
+    unique = np.unique(points, axis=0)
+    return unique[_off_origin(unique)]
+
+
+def _tail_cloud(rng, n=3000, mixed_group=False):
+    """Trace-like cloud: converged ``±0.0`` tails, exact repeats and,
+    optionally, a ``0.0``/``-0.0`` group away from the origin."""
+    body = rng.normal(size=(n, 2))
+    tail = rng.choice([1e-13, -1e-13, 0.0, -0.0, 2e-7, -3e-7], size=(400, 2))
+    blocks = [body, tail, body[:500]]
+    if mixed_group:
+        blocks.append(np.array([[1.5, 0.0], [1.5, -0.0], [1.5, 0.0], [-0.0, -2.0], [0.0, -2.0]]))
+    return np.round(np.vstack(blocks), decimals=12)
+
+
+class TestOriginExclusionBeforeDedupe:
+    """Excluding the origin before the dedupe keeps the LP's cloud bytes."""
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(0, 300), st.integers(1, 3)),
+            elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -1e-13, 1e-13, 1e-7, -1e-7]),
+        )
+    )
+    def test_matches_dedupe_then_exclude(self, points):
+        points = np.round(points, decimals=12)
+        assert _bitwise_equal(_unique_rows(points, where=_off_origin), _dedupe_then_exclude(points))
+
+    @pytest.mark.parametrize("mixed_group", [False, True], ids=["tails", "mixed-group"])
+    def test_trace_like_clouds(self, rng, mixed_group):
+        points = _tail_cloud(rng, mixed_group=mixed_group)
+        assert _bitwise_equal(_unique_rows(points, where=_off_origin), _dedupe_then_exclude(points))
+
+    def test_fit_sees_the_same_points(self, stable_system, rng, monkeypatch):
+        # Over max_points, so the thinning stride applies to the result too.
+        points = _tail_cloud(rng, n=5000)
+        config = LpConfig()
+        expected = _dedupe_then_exclude(points)
+        expected = expected[:: int(np.ceil(len(expected) / config.max_points))]
+        tmpl = QuadraticTemplate(2)
+        seen = []
+        feature_maps = tmpl._feature_maps
+
+        def spy(pts):
+            seen.append(pts.copy())
+            return feature_maps(pts)
+
+        monkeypatch.setattr(tmpl, "_feature_maps", spy)
+        fit_generator(tmpl, points, stable_system, config)
+        assert _bitwise_equal(seen[0], expected)
+
+    def test_converged_tails_skip_np_unique(self, stable_system, rng, monkeypatch):
+        points = _tail_cloud(rng)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", forbidden)
+        # The tails alone would send the dedupe to np.unique...
+        with pytest.raises(AssertionError, match="np.unique called"):
+            _unique_rows(points)
+        # ...but the LP drops them first.
+        assert fit_generator(QuadraticTemplate(2), points, stable_system).margin > 0.0

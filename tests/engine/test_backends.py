@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -245,3 +247,81 @@ class TestVectorizedBookkeeping:
         got = VectorizedSimBackend().simulate(system, self.X0, 0.0, 0.1)
         assert all(len(t) == 1 and not t.truncated for t in got)
         assert np.array_equal(np.vstack([t.states for t in got]), self.X0)
+
+    def test_post_stop_steps_raise_no_warning(self, system):
+        # Row 0 blows past the norm guard in the first step of the first
+        # chunk, then overflows while it keeps stepping to the chunk's end;
+        # the per-step loop stopped it before any floating-point error.
+        x0s = np.array([[5000.0, 100.0, 0.0, -10.0], [0.0, 100.0, 0.0, -10.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = VectorizedSimBackend().simulate(system, x0s, 3.0, 0.1, method="euler")
+        assert [len(t) for t in got] == [2, 31]
+        assert got[0].truncated and np.linalg.norm(got[0].states[-1]) > 1e6
+        self._assert_exact(got, self._reference(system, x0s, 3.0, 0.1, "euler", None))
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_scalar_stop_sees_only_live_states(self, system, method):
+        seen = {"vectorized": [], "reference": []}
+
+        def recorder(key):
+            def stop(state):
+                assert np.isfinite(state).all()
+                assert np.linalg.norm(state) <= 1e6
+                seen[key].append(state.tobytes())
+                return bool(state[3] > 1.0)
+
+            return stop
+
+        with np.errstate(invalid="ignore"):
+            got = VectorizedSimBackend().simulate(
+                system, self.X0, 3.0, 0.1, method=method,
+                stop_condition=recorder("vectorized"),
+            )
+            expected = self._reference(
+                system, self.X0, 3.0, 0.1, method, recorder("reference")
+            )
+        self._assert_exact(got, expected)
+        # The same calls as the per-step loop: none past a row's stop.
+        assert sorted(seen["vectorized"]) == sorted(seen["reference"])
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_stops_on_chunk_boundaries(self, system, method):
+        from repro.engine.vectorized import _CHUNK
+
+        dt = 0.1
+        # Leave the domain e <= 1 at steps K - 1, K, K + 1 and 2K; turn
+        # NaN (sqrt of d < 0 in the step) at steps K and K + 1.
+        x0s = np.array(
+            [[0.0, 100.0, 0.0, 1.05 - s * dt] for s in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK)]
+            + [[0.0, (s - 1.5) * dt, 0.0, -10.0] for s in (_CHUNK, _CHUNK + 1)]
+        )
+        duration = 3 * _CHUNK * dt
+        with np.errstate(invalid="ignore"):
+            got = VectorizedSimBackend().simulate(
+                system, x0s, duration, dt, method=method, stop_condition=_ExitAbove(3, 1.0)
+            )
+            expected = self._reference(
+                system, x0s, duration, dt, method, _ExitAbove(3, 1.0)
+            )
+        self._assert_exact(got, expected)
+        assert all(t.truncated for t in got)
+        if method == "euler":
+            # an exit keeps its final sample; a non-finite step does not
+            assert [len(t) for t in got] == [
+                _CHUNK, _CHUNK + 1, _CHUNK + 2, 2 * _CHUNK + 1, _CHUNK, _CHUNK + 1
+            ]
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_single_row_calls(self, system, method):
+        # The CEGIS loop simulates each counterexample as a one-row block.
+        for x0 in self.X0:
+            with np.errstate(invalid="ignore"):
+                got = VectorizedSimBackend().simulate(
+                    system, x0[None, :], 3.0, 0.1, method=method,
+                    stop_condition=_ExitAbove(3, 1.0),
+                )
+                expected = self._reference(
+                    system, x0[None, :], 3.0, 0.1, method, _ExitAbove(3, 1.0)
+                )
+            self._assert_exact(got, expected)

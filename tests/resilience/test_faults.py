@@ -124,3 +124,46 @@ class TestFaultPlan:
             )
         )
         assert [a.seam for a in plan.for_seam("store.read")] == ["store.read"]
+
+
+class TestPoolWorkerFaults:
+    """Injected worker faults end in a rebuilt executor and unchanged artifacts."""
+
+    NAMES = ["linear", "vanderpol"]
+
+    @staticmethod
+    def _strip(artifact) -> dict:
+        from repro.corpus.fuzz import VOLATILE_FIELDS
+
+        data = artifact.to_dict()
+        for name in VOLATILE_FIELDS:
+            data.pop(name, None)
+        return data
+
+    @pytest.mark.parametrize("kind", ["kill", "hang"])
+    def test_recovered_batch_matches_fault_free(self, kind, monkeypatch):
+        import multiprocessing as mp
+
+        from repro.api import run_batch
+        from repro.resilience.chaos import _leaked_children
+        from repro.resilience.supervisor import clear_incidents, incidents
+
+        baseline = run_batch(self.NAMES, workers=2, seed=5, cache=False)
+        before = {p.pid for p in mp.active_children()}
+        # Short enough to keep the test quick, long enough for a healthy
+        # chunk on a loaded machine.
+        monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", "5")
+        clear_incidents()
+        with faults.injected(FaultPlan((FaultAction("pool.worker", kind),))):
+            faulted = run_batch(self.NAMES, workers=2, seed=5, cache=False)
+            fired = faults.fired_faults()
+        assert [f["kind"] for f in fired] == [kind]
+        died = incidents("pool.worker_died")
+        assert len(died) == 1 and len(incidents("pool.respawn")) == 1
+        cause = "TimeoutError" if kind == "hang" else "BrokenProcessPool"
+        assert cause in died[0]["detail"]
+        assert [self._strip(a) for a in faulted] == [self._strip(a) for a in baseline]
+        # The stopped or killed workers were reaped, not left behind (the
+        # chaos gate's own audit, which polls: the executors' manager
+        # threads reap their workers concurrently).
+        assert not _leaked_children(frozenset(before), grace=10.0)
