@@ -160,6 +160,10 @@ def _solve_by_row_generation(
     a margin below ``min_margin`` already decides the full LP and is
     returned as is.  Every round adds at least one row: the loop ends,
     at worst on the full system.
+
+    HiGHS runs without presolve.  A relaxation has a few hundred
+    normalized rows and at most ``k + 3`` columns; on LPs that small,
+    presolve costs more than the dual simplex it would shorten.
     """
     n_rows = len(a_ub)
     active = np.zeros(n_rows, dtype=bool)
@@ -168,7 +172,8 @@ def _solve_by_row_generation(
     while True:
         rows = a_ub[active]
         outcome = linprog(
-            cost, A_ub=rows, b_ub=np.zeros(len(rows)), bounds=bounds, method="highs"
+            cost, A_ub=rows, b_ub=np.zeros(len(rows)), bounds=bounds,
+            method="highs", options={"presolve": False},
         )
         if not outcome.success or -outcome.fun < min_margin:
             return outcome
@@ -247,12 +252,12 @@ def fit_generator(
     points, never with their pairwise product.
 
     The assembled system is solved by row generation (see
-    :func:`_solve_by_row_generation`): HiGHS sees a subset of about a
-    hundred rows, grown by the most-violated ones until the solution
-    satisfies every row to within ``1e-7``.  The optimum is that of the
-    full system up to that tolerance, which is also all a single full
-    solve guarantees; the coefficients of the two usually agree in all
-    but their last bits.
+    :func:`_solve_by_row_generation`): HiGHS, without presolve, sees a
+    subset of about a hundred rows, grown by the most-violated ones
+    until the solution satisfies every row to within ``1e-7``.  The
+    optimum is that of the full system up to that tolerance, which is
+    also all a single full solve guarantees; the coefficients of the two
+    usually agree in all but their last bits.
 
     Raises
     ------

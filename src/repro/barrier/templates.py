@@ -40,21 +40,17 @@ class GeneratorTemplate:
     # ------------------------------------------------------------------
     # Numeric features
     # ------------------------------------------------------------------
-    # Both feature maps come from one power table per point set: one
-    # ``points ** np.full(n, e)`` per distinct exponent ``e > 0``, each
-    # column a left-to-right product of table columns.  The result equals
-    # the per-monomial ``np.prod(points ** expo, axis=1)`` bit for bit
-    # (cross-checked in tests/barrier):
+    # Both feature maps come from one power table per point set, built
+    # by exact products: ``P[1] = points`` and ``P[e] = P[e-1] * points``
+    # up to the largest exponent in use, and each column is a
+    # left-to-right product of table columns.  Every element is a chain of
+    # correctly rounded IEEE products, so the bits do not depend on the
+    # SIMD path NumPy dispatches to (see docs/performance.md, "LP
+    # assembly"); tests/barrier checks them against pure-Python floats:
     #
-    # * the table call keeps that form's shape, ``(m, n)`` points against
-    #   an ``(n,)`` exponent vector, so NumPy runs the same ufunc loop.
-    #   That loop is NumPy's SIMD ``pow``, which is not ``x*x`` and whose
-    #   bits follow the CPU features NumPy dispatches to (see
-    #   docs/performance.md, "LP assembly");
-    # * ``pow(x, 0)`` is exactly 1.0, even for NaN and inf, and ``np.prod``
-    #   multiplies left to right from 1.0, so exponent-0 factors are dropped;
-    # * products of three or more factors keep ``np.prod`` over the
-    #   stacked factors, and with it their association order.
+    # * exponent-0 factors are 1.0 and are dropped from the products;
+    # * products of three or more factors go through ``np.prod`` over the
+    #   stacked factors, which multiplies left to right.
 
     def features(self, points: np.ndarray) -> np.ndarray:
         """Basis values ``phi_j(x_i)``, shape ``(m, k)``."""
@@ -81,7 +77,9 @@ class GeneratorTemplate:
             exponents.update(e for factors in value_factors for _, e in factors)
         if gradients:
             exponents.update(e for *_, factors in gradient_terms for _, e in factors)
-        powers = {e: points ** np.full(n, e, dtype=np.int64) for e in exponents}
+        powers = {1: points}
+        for e in range(2, max(exponents, default=1) + 1):
+            powers[e] = powers[e - 1] * points
 
         phi = grads = None
         if values:

@@ -160,10 +160,9 @@ class VectorizedSimBackend:
             k += c
 
         return [
-            Trace(
+            Trace._on_grid(
                 times_arr[: counts[i]],
                 history[: counts[i], i].copy(),
-                None,
                 bool(truncated[i]),
             )
             for i in range(m)

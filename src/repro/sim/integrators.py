@@ -9,6 +9,7 @@ methods in the test suite.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -30,7 +31,10 @@ __all__ = [
 VectorField = Callable[[np.ndarray], np.ndarray]
 
 
-def fixed_step_schedule(duration: float, dt: float) -> tuple[np.ndarray, list[float]]:
+@lru_cache(maxsize=64)
+def fixed_step_schedule(
+    duration: float, dt: float
+) -> tuple[np.ndarray, tuple[float, ...]]:
     """The canonical fixed-step time grid: ``(times, step_sizes)``.
 
     ``times`` has ``len(step_sizes) + 1`` entries starting at 0; the
@@ -38,6 +42,10 @@ def fixed_step_schedule(duration: float, dt: float) -> tuple[np.ndarray, list[fl
     multiple of ``dt``.  Both the scalar simulation driver and the
     vectorized batch integrator consume this one schedule, so their
     traces land on identical sample times by construction.
+
+    The grid is built once per ``(duration, dt)`` and shared by every
+    caller, so ``times`` is read-only.  It is strictly increasing: a
+    step that left ``t`` unchanged would repeat forever.
     """
     if dt <= 0.0:
         raise SimulationError(f"step size must be positive, got {dt}")
@@ -51,7 +59,9 @@ def fixed_step_schedule(duration: float, dt: float) -> tuple[np.ndarray, list[fl
         steps.append(h)
         t += h
         times.append(t)
-    return np.asarray(times), steps
+    grid = np.asarray(times)
+    grid.flags.writeable = False
+    return grid, tuple(steps)
 
 
 def euler_step(f: VectorField, x: np.ndarray, dt: float) -> np.ndarray:

@@ -56,6 +56,22 @@ class Trace:
         if self.times.shape[0] >= 2 and not np.all(np.diff(self.times) > 0):
             raise SimulationError("times must be strictly increasing")
 
+    @classmethod
+    def _on_grid(cls, times: np.ndarray, states: np.ndarray, truncated: bool) -> "Trace":
+        """A trace on a prefix of a validated time grid, without re-checking it.
+
+        ``times`` is a float prefix of a strictly increasing grid and
+        ``states`` a ``(len(times), n)`` float array, as the batch
+        integrator builds them; the result equals ``Trace(times, states,
+        None, truncated)``.
+        """
+        trace = cls.__new__(cls)
+        trace.times = times
+        trace.states = states
+        trace.inputs = None
+        trace.truncated = truncated
+        return trace
+
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------

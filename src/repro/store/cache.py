@@ -87,8 +87,12 @@ CACHE_ENV = "REPRO_CACHE"
 #: ``screened_counterexamples`` field differ; 5: ``batched-icp`` no
 #: longer contracts, so its searches and witnesses differ, and the
 #: config dict lost the three contractor knobs; 6: the config dict lost
-#: the external-solver timeout of the retired ``portfolio`` engine)
-FINGERPRINT_VERSION = 6
+#: the external-solver timeout of the retired ``portfolio`` engine; 7:
+#: the LP's row-generation relaxations run without HiGHS presolve, which
+#: moves coefficients and levels in their last bits, and template power
+#: tables are exact products instead of NumPy's SIMD ``pow``, so feature
+#: bits no longer follow the CPU dispatch)
+FINGERPRINT_VERSION = 7
 
 #: ``.tmp`` leftovers older than this are treated as crashed writers'
 #: debris and swept by :meth:`ArtifactStore.collect_garbage` (and by

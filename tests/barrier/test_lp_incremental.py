@@ -1,4 +1,4 @@
-"""Template feature maps: power-table columns equal the per-monomial loops."""
+"""Template feature maps: power-table columns equal pure-Python float products."""
 
 from __future__ import annotations
 
@@ -27,23 +27,41 @@ _TEMPLATES = [
 ]
 
 
+def _power(x, e):
+    """``x ** e`` as a left-to-right product of Python floats (1.0 for ``e = 0``)."""
+    if e == 0:
+        return 1.0
+    result = x
+    for _ in range(e - 1):
+        result *= x
+    return result
+
+
+def _monomial(row, expo):
+    """``prod_d row[d] ** expo[d]``, multiplied left to right from 1.0."""
+    result = 1.0
+    for x, e in zip(row, expo):
+        result *= _power(x, e)
+    return result
+
+
 def _reference_features(template, points):
-    columns = [
-        np.prod(points ** np.asarray(expo), axis=1) for expo in template.monomials
-    ]
-    return np.stack(columns, axis=1)
+    return np.array(
+        [[_monomial(row, expo) for expo in template.monomials] for row in points.tolist()]
+    )
 
 
 def _reference_gradients(template, points):
     m, n = points.shape
     grads = np.zeros((m, n, template.basis_size))
+    rows = points.tolist()
     for j, expo in enumerate(template.monomials):
         for d in range(n):
             if expo[d] == 0:
                 continue
             reduced = list(expo)
             reduced[d] -= 1
-            grads[:, d, j] = expo[d] * np.prod(points ** np.asarray(reduced), axis=1)
+            grads[:, d, j] = [expo[d] * _monomial(row, reduced) for row in rows]
     return grads
 
 
@@ -67,15 +85,20 @@ def _points(rng, rows, dimension, special):
 
 
 class TestFeatureVectorization:
-    """The power-table feature maps must match the historical loops bitwise."""
+    """The power-table feature maps must match scalar float products bitwise.
 
-    # 4,097 rows put more elements through NumPy's SIMD ``pow`` than one
-    # ufunc buffer holds, so its main loop and its tail both run.
+    The reference multiplies Python floats one at a time in the table's
+    association order, so it has no SIMD path and the same bits on every
+    host; CI also runs this with AVX-512 dispatch off.
+    """
+
+    # 4,097 rows put more elements through NumPy's SIMD ``multiply`` than
+    # one ufunc buffer holds, so its main loop and its tail both run.
     @pytest.mark.parametrize("rows", [50, 4097])
     @pytest.mark.parametrize("special", [False, True], ids=["finite", "special"])
     @pytest.mark.parametrize("make_template", _TEMPLATES)
     def test_parity(self, make_template, special, rows, rng):
-        """Power-table maps equal the per-monomial reference bit for bit."""
+        """Power-table maps equal the scalar reference bit for bit."""
         template = make_template()
         points = _points(rng, rows, template.dimension, special)
         with np.errstate(all="ignore"):

@@ -6,6 +6,7 @@ separate X0 from U — the extension documented in DESIGN.md section 8.
 
 from __future__ import annotations
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -249,10 +250,33 @@ def dubins_lp():
     return captured[0]
 
 
+@pytest.fixture(scope="module")
+def cartpole_lp():
+    """The first LP of the ``cartpole`` family's default point with 8
+    boundary samples per edge, as the benchmark's 4-D stress workload
+    runs it: ``(args, kwargs)``."""
+    captured = []
+
+    def capture(*args, **kwargs):
+        captured.append((args, kwargs))
+        raise _Captured
+
+    scenario = get_family("cartpole").instantiate()
+    config = dataclasses.replace(
+        scenario.config,
+        lp=dataclasses.replace(scenario.config.lp, separation_samples=8),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_module, "fit_generator", capture)
+        with pytest.raises(_Captured):
+            verify_system(scenario.problem(), config=config)
+    return captured[0]
+
+
 class TestRowGeneration:
     """Row generation returns the optimum of the full system."""
 
-    @pytest.fixture(params=["paper", "cloud-4d", "dubins"])
+    @pytest.fixture(params=["paper", "cloud-4d", "dubins", "cartpole"])
     def fit(self, request, solves):
         """Run one ``fit_generator`` call; returns its candidate."""
         if request.param == "paper":
@@ -264,7 +288,7 @@ class TestRowGeneration:
             args = (QuadraticTemplate(4), points, system)
             kwargs = {"separation": (inner, boundary)}
         else:
-            args, kwargs = request.getfixturevalue("dubins_lp")
+            args, kwargs = request.getfixturevalue(f"{request.param}_lp")
         return fit_generator(*args, **kwargs)
 
     def test_matches_full_solve(self, solves, fit):

@@ -16,6 +16,7 @@ from repro.sim import (
     get_integrator,
     rk4_step,
 )
+from repro.sim.integrators import fixed_step_schedule
 
 
 def linear_decay(x):
@@ -71,6 +72,15 @@ class TestFixedStep:
     def test_negative_duration(self):
         with pytest.raises(SimulationError):
             EulerIntegrator().integrate(linear_decay, np.array([1.0]), -1.0, 0.1)
+
+    def test_schedule_is_shared_and_read_only(self):
+        """One grid per ``(duration, dt)``: callers share it, none can edit it."""
+        times, steps = fixed_step_schedule(0.25, 0.1)
+        again, steps_again = fixed_step_schedule(0.25, 0.1)
+        assert again is times and steps_again is steps
+        assert steps == (0.1, 0.1, 0.25 - 0.2)
+        with pytest.raises(ValueError):
+            times[0] = 1.0
 
     def test_blowup_detected(self):
         times_states = lambda: RK4Integrator().integrate(

@@ -108,22 +108,22 @@ class TestRunKey:
             (
                 lambda: api.get_scenario("linear"),
                 "native",
-                "00f814079c0da5f487c5e0a49dbc3a0c979d14166a0774bd4750aa4d327434c2",
+                "7b7c025b812c0142d19b75b5abda140945cdfa225df3cec35c45fb734b4af5fc",
             ),
             (
                 lambda: api.get_scenario("dubins"),
                 "batched-icp",
-                "0f43b9403c2f8371258c9e86248407553787c94c059d935065d26b437ed30657",
+                "db825b6fdb0f1216abeb6e20ccca717ab4c976fcff89336506146461ea83d46c",
             ),
             (
                 lambda: api.get_family("cartpole").instantiate(),
                 "batched-icp",
-                "21616cf9d2a7c1655618fd340b8b124d2b64b8ad4487da5634973ef8e6f91020",
+                "76e34de470f886e7ec1e3c6655e64fda32de2354093eee62d33c0079b80308d7",
             ),
             (
                 lambda: api.get_family("dubins").instantiate(),
                 "batched-icp",
-                "9f39f09fafc20c4ed737e395aa1756d0b72b3b0b329106a98feea0e6dbfd1b05",
+                "b956d57b9ff86598b712bd1eba4d78dd335472372c0791bd4628812a5212a7c5",
             ),
         ],
         ids=["linear-native", "dubins-batched", "cartpole-family", "dubins-family"],
