@@ -1,7 +1,7 @@
 """Microbenchmarks of the performance-critical substrates.
 
 These are regression guards, not paper artifacts: batched interval tape
-evaluation (the ICP hot path), the NN vectorized interval pass, the
+evaluation (the ICP hot path), vectorized numeric tape evaluation, the
 generator LP, and a single UNSAT proof of the paper's Eq. (5).
 """
 
@@ -16,7 +16,7 @@ from repro.barrier import (
     fit_generator,
 )
 from repro.dynamics import error_dynamics_system
-from repro.expr import compile_expression, var
+from repro.expr import compile_expression
 from repro.experiments import case_study_controller, paper_problem
 from repro.smt import check_exists_on_boxes
 
@@ -45,16 +45,6 @@ def test_bench_tape_eval_points(benchmark, system100):
 
     values = benchmark(tape.eval_points, points)
     assert values.shape == (4096,)
-
-
-def test_bench_nn_interval_pass(benchmark):
-    """Vectorized interval forward pass through a 1000-neuron layer."""
-    network = case_study_controller(1000)
-    lo = np.array([-1.0, -0.4])
-    hi = np.array([1.0, 0.4])
-
-    out_lo, out_hi = benchmark(network.interval_forward, lo, hi)
-    assert out_lo[0] <= out_hi[0]
 
 
 def test_bench_generator_lp(benchmark, system100):

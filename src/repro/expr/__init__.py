@@ -3,7 +3,7 @@
 Vector fields, controllers, and barrier templates are all expressions.
 They evaluate numerically, evaluate soundly over interval boxes, compile
 to batched tapes for the δ-SAT solver, differentiate symbolically, and
-print to infix or SMT-LIB.
+print to infix (SMT-LIB emission lives in :mod:`repro.solvers.smtlib`).
 """
 
 from .build import (
@@ -28,7 +28,7 @@ from .build import (
 )
 from .compile import CompiledExpression, compile_expression
 from .differentiate import differentiate, gradient
-from .evaluate import evaluate, evaluate_box, evaluate_box_array
+from .evaluate import evaluate, evaluate_box
 from .node import (
     Add,
     Const,
@@ -47,7 +47,7 @@ from .node import (
     postorder,
     variables_of,
 )
-from .printer import to_infix, to_smtlib
+from .printer import to_infix
 from .simplify import simplify, structurally_equal
 from .substitute import substitute
 
@@ -76,7 +76,6 @@ __all__ = [
     "dot",
     "evaluate",
     "evaluate_box",
-    "evaluate_box_array",
     "exp",
     "gradient",
     "log",
@@ -94,7 +93,6 @@ __all__ = [
     "tan",
     "tanh",
     "to_infix",
-    "to_smtlib",
     "var",
     "variables",
     "variables_of",

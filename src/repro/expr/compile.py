@@ -20,8 +20,9 @@ slot and is evaluated once.  The tape then evaluates:
   pure Python even for thousand-neuron controllers.
 
 The box semantics here mirror :class:`repro.intervals.Interval` rules
-(including the trig range reduction) in vectorized form; the property
-tests in ``tests/expr`` cross-check the two implementations.
+(including the trig range reduction) in vectorized form, padding every
+inexact result by the oracle's libm rule; the property tests in
+``tests/expr`` cross-check the two implementations.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 
 from ..errors import EvaluationError
 from ..intervals import Box, Interval
+from ..intervals.rounding import LIBM_REL as _REL
 from ..intervals.rounding import TRIG_SLACK as _TRIG_SLACK
 from .node import (
     Add,
@@ -56,10 +58,9 @@ __all__ = ["CompiledExpression", "compile_expression"]
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
 # Outward widening applied after each inexact instruction, relative to
-# magnitude.  8 eps dominates the rounding error of every scalar op and
-# of numpy's transcendental kernels (documented < 2 ulp).
-_EPS = np.finfo(float).eps
-_REL = 8.0 * _EPS
+# magnitude: the scalar oracle's libm padding (8 eps), which dominates
+# the rounding error of every IEEE op and of numpy's transcendental
+# kernels (documented < 2 ulp).
 _ABS = 8.0 * np.finfo(float).tiny
 #: binary node type -> tape op
 _BINARY_OPS = {Add: "add", Sub: "sub", Mul: "mul", Div: "div", Min2: "min", Max2: "max"}

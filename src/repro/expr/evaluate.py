@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from typing import Mapping, Union
 
-import numpy as np
-
 from ..errors import EvaluationError
-from ..intervals import Box, BoxArray, Interval, IntervalArray
+from ..intervals import Box, Interval
 from ..intervals.functions import (
     iabs,
     iatan,
@@ -47,9 +45,9 @@ from .node import (
     postorder,
 )
 
-__all__ = ["evaluate", "evaluate_box", "evaluate_box_array", "Value"]
+__all__ = ["evaluate", "evaluate_box", "Value"]
 
-Value = Union[float, Interval, IntervalArray]
+Value = Union[float, Interval]
 
 _UNARY_FUNCS = {
     "sin": isin,
@@ -93,28 +91,6 @@ def evaluate_box(root: Expr, box: Box, names: list[str]) -> Interval:
     result = evaluate(root, env)
     if not isinstance(result, Interval):
         result = Interval.point(float(result))
-    return result
-
-
-def evaluate_box_array(root: Expr, boxes: BoxArray, names: list[str]) -> IntervalArray:
-    """Evaluate ``root`` over every box of a frontier in one batched walk.
-
-    The same postorder walker as :func:`evaluate` runs with
-    :class:`~repro.intervals.IntervalArray` bindings — the ``i*``
-    dispatchers carry the batch through every node, so the whole
-    frontier costs one NumPy pass per DAG node.
-    """
-    if boxes.dimension != len(names):
-        raise EvaluationError(
-            f"boxes dimension {boxes.dimension} does not match {len(names)} names"
-        )
-    env = {
-        name: IntervalArray(boxes.lo[:, j], boxes.hi[:, j])
-        for j, name in enumerate(names)
-    }
-    result = evaluate(root, env)
-    if not isinstance(result, IntervalArray):  # constant expression
-        result = IntervalArray.point(np.full(len(boxes), float(result)))
     return result
 
 

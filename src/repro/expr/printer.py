@@ -1,8 +1,7 @@
-"""Expression pretty-printing: infix strings and SMT-LIB 2 output.
+"""Expression pretty-printing: deterministic infix strings.
 
-The SMT-LIB printer exists for interoperability: queries built by this
-library can be exported and replayed against an external dReal binary
-when one is available, which is how we validated our solver's verdicts.
+SMT-LIB 2 output for external solvers is :mod:`repro.solvers.smtlib`'s
+job; it prints exact decimal literals, which ``repr(float)`` is not.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 from .node import (
     Add,
     Const,
-    Div,
     Expr,
     Max2,
     Min2,
@@ -23,7 +21,7 @@ from .node import (
     postorder,
 )
 
-__all__ = ["to_infix", "to_smtlib"]
+__all__ = ["to_infix"]
 
 # Precedence levels for parenthesization (larger binds tighter).
 _PREC_ADD = 1
@@ -87,63 +85,3 @@ def _render(node: Expr, rendered: dict[int, tuple[str, int]]) -> tuple[str, int]
     if rprec < right_min:
         right = f"({right})"
     return f"{left}{symbol}{right}", prec
-
-
-_SMT_UNARY = {
-    "sin": "sin",
-    "cos": "cos",
-    "tan": "tan",
-    "tanh": "tanh",
-    "exp": "exp",
-    "log": "log",
-    "sqrt": "sqrt",
-    "abs": "abs",
-    "atan": "arctan",
-}
-
-
-def to_smtlib(root: Expr) -> str:
-    """SMT-LIB 2 s-expression rendering (dReal dialect).
-
-    ``sigmoid`` is expanded to ``1 / (1 + exp(-x))`` since dReal has no
-    sigmoid primitive; ``min``/``max`` use ``ite`` encodings.
-    """
-    rendered: dict[int, str] = {}
-    for node in postorder(root):
-        rendered[id(node)] = _render_smt(node, rendered)
-    return rendered[id(root)]
-
-
-def _render_smt(node: Expr, rendered: dict[int, str]) -> str:
-    if isinstance(node, Const):
-        value = node.value
-        if value < 0:
-            return f"(- {_smt_number(-value)})"
-        return _smt_number(value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(- {rendered[id(node.child)]})"
-    if isinstance(node, Pow):
-        return f"(^ {rendered[id(node.base)]} {node.exponent})"
-    if isinstance(node, Unary):
-        child = rendered[id(node.child)]
-        if node.op == "sigmoid":
-            return f"(/ 1 (+ 1 (exp (- {child}))))"
-        return f"({_SMT_UNARY[node.op]} {child})"
-    if isinstance(node, Min2):
-        left = rendered[id(node.left)]
-        right = rendered[id(node.right)]
-        return f"(ite (<= {left} {right}) {left} {right})"
-    if isinstance(node, Max2):
-        left = rendered[id(node.left)]
-        right = rendered[id(node.right)]
-        return f"(ite (>= {left} {right}) {left} {right})"
-    symbol = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(node)]
-    return f"({symbol} {rendered[id(node.left)]} {rendered[id(node.right)]})"
-
-
-def _smt_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)

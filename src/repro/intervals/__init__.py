@@ -4,14 +4,14 @@ Public surface:
 
 * :class:`Interval` — outward-rounded scalar interval (the oracle).
 * :class:`Box` — interval vector (ICP search region).
-* :class:`IntervalArray` / :class:`BoxArray` — structure-of-arrays
-  batches of intervals/boxes; one NumPy pass per operation over a whole
-  solver frontier.
+* :class:`BoxArray` — structure-of-arrays batch of boxes: the frontier
+  of the batched solver, whose interval evaluation is the compiled
+  tape's (:meth:`repro.expr.CompiledExpression.eval_boxes`).
 * ``i*`` free functions — dual-semantics (float or interval) elementary
-  functions, plus vectorized interval linear algebra for the NN hot path.
+  functions.
 """
 
-from .array import BoxArray, IntervalArray
+from .array import BoxArray
 from .box import Box
 from .functions import (
     iabs,
@@ -21,11 +21,6 @@ from .functions import (
     ilog,
     imax,
     imin,
-    interval_affine,
-    interval_matvec,
-    interval_relu_bounds,
-    interval_sigmoid_bounds,
-    interval_tanh_bounds,
     ipow,
     isigmoid,
     isin,
@@ -38,9 +33,7 @@ from .rounding import (
     PAD,
     TRIG_SLACK,
     next_down,
-    next_down_array,
     next_up,
-    next_up_array,
     trig_slack,
     widen,
 )
@@ -49,7 +42,6 @@ __all__ = [
     "Box",
     "BoxArray",
     "Interval",
-    "IntervalArray",
     "PAD",
     "TRIG_SLACK",
     "iabs",
@@ -59,11 +51,6 @@ __all__ = [
     "ilog",
     "imax",
     "imin",
-    "interval_affine",
-    "interval_matvec",
-    "interval_relu_bounds",
-    "interval_sigmoid_bounds",
-    "interval_tanh_bounds",
     "ipow",
     "isigmoid",
     "isin",
@@ -71,9 +58,7 @@ __all__ = [
     "itan",
     "itanh",
     "next_down",
-    "next_down_array",
     "next_up",
-    "next_up_array",
     "trig_slack",
     "widen",
 ]

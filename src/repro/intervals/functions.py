@@ -2,11 +2,8 @@
 
 These wrappers accept either intervals or plain floats, which keeps
 numeric code and interval code textually identical — the expression
-compiler (:mod:`repro.expr.compile`) exploits this to evaluate one tape
-in both semantics.
-
-Vectorized interval helpers for (lower, upper) ndarray pairs live here
-too; they are the hot path of the neural-network interval forward pass.
+walker (:func:`repro.expr.evaluate`) uses them to evaluate one DAG in
+both semantics.
 """
 
 from __future__ import annotations
@@ -14,9 +11,6 @@ from __future__ import annotations
 import math
 from typing import Union
 
-import numpy as np
-
-from .array import IntervalArray
 from .interval import Interval
 
 __all__ = [
@@ -33,53 +27,43 @@ __all__ = [
     "imin",
     "imax",
     "ipow",
-    "interval_matvec",
-    "interval_affine",
-    "interval_tanh_bounds",
-    "interval_sigmoid_bounds",
-    "interval_relu_bounds",
 ]
 
-Scalar = Union[Interval, "IntervalArray", float, int]
-
-#: types that carry interval semantics through the ``i*`` dispatchers;
-#: :class:`IntervalArray` rides along so one expression walker serves the
-#: scalar, interval, and batched-interval modes alike
-_INTERVALS = (Interval, IntervalArray)
+Scalar = Union[Interval, float, int]
 
 
-def _lift(value: Scalar) -> "Interval | IntervalArray | float":
-    return value if isinstance(value, _INTERVALS) else float(value)
+def _lift(value: Scalar) -> "Interval | float":
+    return value if isinstance(value, Interval) else float(value)
 
 
 def isin(x: Scalar):
     """Interval/scalar sine."""
     x = _lift(x)
-    return x.sin() if isinstance(x, _INTERVALS) else math.sin(x)
+    return x.sin() if isinstance(x, Interval) else math.sin(x)
 
 
 def icos(x: Scalar):
     """Interval/scalar cosine."""
     x = _lift(x)
-    return x.cos() if isinstance(x, _INTERVALS) else math.cos(x)
+    return x.cos() if isinstance(x, Interval) else math.cos(x)
 
 
 def itan(x: Scalar):
     """Interval/scalar tangent."""
     x = _lift(x)
-    return x.tan() if isinstance(x, _INTERVALS) else math.tan(x)
+    return x.tan() if isinstance(x, Interval) else math.tan(x)
 
 
 def itanh(x: Scalar):
     """Interval/scalar hyperbolic tangent (the paper's ``tansig``)."""
     x = _lift(x)
-    return x.tanh() if isinstance(x, _INTERVALS) else math.tanh(x)
+    return x.tanh() if isinstance(x, Interval) else math.tanh(x)
 
 
 def isigmoid(x: Scalar):
     """Interval/scalar logistic sigmoid."""
     x = _lift(x)
-    if isinstance(x, _INTERVALS):
+    if isinstance(x, Interval):
         return x.sigmoid()
     if x >= 0.0:
         return 1.0 / (1.0 + math.exp(-x))
@@ -90,43 +74,41 @@ def isigmoid(x: Scalar):
 def iexp(x: Scalar):
     """Interval/scalar exponential."""
     x = _lift(x)
-    return x.exp() if isinstance(x, _INTERVALS) else math.exp(x)
+    return x.exp() if isinstance(x, Interval) else math.exp(x)
 
 
 def ilog(x: Scalar):
     """Interval/scalar natural logarithm."""
     x = _lift(x)
-    return x.log() if isinstance(x, _INTERVALS) else math.log(x)
+    return x.log() if isinstance(x, Interval) else math.log(x)
 
 
 def isqrt(x: Scalar):
     """Interval/scalar square root."""
     x = _lift(x)
-    return x.sqrt() if isinstance(x, _INTERVALS) else math.sqrt(x)
+    return x.sqrt() if isinstance(x, Interval) else math.sqrt(x)
 
 
 def iabs(x: Scalar):
     """Interval/scalar absolute value."""
     x = _lift(x)
-    return x.abs() if isinstance(x, _INTERVALS) else abs(x)
+    return x.abs() if isinstance(x, Interval) else abs(x)
 
 
 def iatan(x: Scalar):
     """Interval/scalar arctangent."""
     x = _lift(x)
-    return x.atan() if isinstance(x, _INTERVALS) else math.atan(x)
+    return x.atan() if isinstance(x, Interval) else math.atan(x)
 
 
 def imin(a: Scalar, b: Scalar):
     """Pointwise minimum in either semantics."""
     a = _lift(a)
     b = _lift(b)
-    if isinstance(a, _INTERVALS) or isinstance(b, _INTERVALS):
-        # min is commutative: lead with the "wider" type so its
-        # coercion handles the other operand (array > interval > float).
-        if not isinstance(a, _INTERVALS) or (
-            isinstance(b, IntervalArray) and not isinstance(a, IntervalArray)
-        ):
+    if isinstance(a, Interval) or isinstance(b, Interval):
+        # min is commutative: lead with the interval so its coercion
+        # handles a float operand.
+        if not isinstance(a, Interval):
             a, b = b, a
         return a.min_with(b)
     return min(a, b)
@@ -136,12 +118,10 @@ def imax(a: Scalar, b: Scalar):
     """Pointwise maximum in either semantics."""
     a = _lift(a)
     b = _lift(b)
-    if isinstance(a, _INTERVALS) or isinstance(b, _INTERVALS):
-        # max is commutative: lead with the "wider" type so its
-        # coercion handles the other operand (array > interval > float).
-        if not isinstance(a, _INTERVALS) or (
-            isinstance(b, IntervalArray) and not isinstance(a, IntervalArray)
-        ):
+    if isinstance(a, Interval) or isinstance(b, Interval):
+        # max is commutative: lead with the interval so its coercion
+        # handles a float operand.
+        if not isinstance(a, Interval):
             a, b = b, a
         return a.max_with(b)
     return max(a, b)
@@ -150,76 +130,4 @@ def imax(a: Scalar, b: Scalar):
 def ipow(x: Scalar, n: int):
     """Integer power in either semantics."""
     x = _lift(x)
-    return x**n if isinstance(x, _INTERVALS) else float(x) ** n
-
-
-# ----------------------------------------------------------------------
-# Vectorized interval linear algebra (NN hot path)
-# ----------------------------------------------------------------------
-def interval_matvec(
-    matrix: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sound bounds of ``matrix @ x`` for ``x`` in the box ``[lo, hi]``.
-
-    Splits the matrix into positive and negative parts so each output
-    bound is a single pair of matrix-vector products.  A small outward
-    widening (2 ulp-scale relative slack) accounts for float rounding in
-    the dot products.
-    """
-    pos = np.maximum(matrix, 0.0)
-    neg = np.minimum(matrix, 0.0)
-    out_lo = pos @ lo + neg @ hi
-    out_hi = pos @ hi + neg @ lo
-    # Accumulated rounding error of an n-term dot product is bounded by
-    # (n + 2) * eps * sum(|a_i| * |x_i|); widen by that amount outward.
-    mag = np.abs(matrix) @ np.maximum(np.abs(lo), np.abs(hi))
-    pad = (matrix.shape[-1] + 2) * np.finfo(float).eps * mag + _WIDEN_ABS
-    return out_lo - pad, out_hi + pad
-
-
-def interval_affine(
-    matrix: np.ndarray, bias: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sound bounds of ``matrix @ x + bias`` over the box ``[lo, hi]``."""
-    out_lo, out_hi = interval_matvec(matrix, lo, hi)
-    return _widen_pair(out_lo + bias, out_hi + bias)
-
-
-def interval_tanh_bounds(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Component-wise tanh image bounds (monotone, clamped to [-1, 1])."""
-    out_lo, out_hi = _widen_pair(np.tanh(lo), np.tanh(hi))
-    return np.maximum(out_lo, -1.0), np.minimum(out_hi, 1.0)
-
-
-def interval_sigmoid_bounds(
-    lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Component-wise logistic-sigmoid image bounds (monotone, in [0, 1])."""
-    out_lo, out_hi = _widen_pair(_stable_sigmoid(lo), _stable_sigmoid(hi))
-    return np.maximum(out_lo, 0.0), np.minimum(out_hi, 1.0)
-
-
-def interval_relu_bounds(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Component-wise ReLU image bounds (exact: max with zero)."""
-    return np.maximum(lo, 0.0), np.maximum(hi, 0.0)
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-# Relative widening factor: a few ulps of double precision, scaled by
-# magnitude, dominates accumulated rounding in short dot products.
-_WIDEN_REL = 4.0 * np.finfo(float).eps
-_WIDEN_ABS = 4.0 * np.finfo(float).tiny
-
-
-def _widen_pair(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pad_lo = _WIDEN_REL * np.abs(lo) + _WIDEN_ABS
-    pad_hi = _WIDEN_REL * np.abs(hi) + _WIDEN_ABS
-    return lo - pad_lo, hi + pad_hi
+    return x**n if isinstance(x, Interval) else float(x) ** n

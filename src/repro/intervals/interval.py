@@ -2,9 +2,10 @@
 
 :class:`Interval` is the scalar building block of the δ-SAT solver: every
 arithmetic operation returns an interval guaranteed to contain the exact
-real result for all points of the operands (inclusion isotonicity).  All
-potentially inexact endpoint computations are widened by one ulp via
-:mod:`repro.intervals.rounding`.
+real result for all points of the operands (inclusion isotonicity).
+Endpoints from correctly rounded IEEE operations are widened by one ulp;
+endpoints from libm functions are padded by ``LIBM_REL`` relative and
+then one ulp (see :mod:`repro.intervals.rounding`).
 
 The class is immutable; operators return new intervals.
 """
@@ -15,7 +16,15 @@ import math
 from typing import Iterable, Iterator
 
 from ..errors import DomainError, EmptyIntervalError, IntervalError
-from .rounding import next_down, next_up, round_down, round_up, trig_slack
+from .rounding import (
+    libm_down,
+    libm_up,
+    next_down,
+    next_up,
+    round_down,
+    round_up,
+    trig_slack,
+)
 
 __all__ = ["Interval"]
 
@@ -275,13 +284,14 @@ class Interval:
             return Interval.point(1.0)
         if exponent < 0:
             return (self ** (-exponent)).reciprocal()
+        # float ** int is libm's pow()
         if exponent % 2 == 1:
-            return Interval(round_down(self.lo**exponent), round_up(self.hi**exponent))
+            return Interval(libm_down(self.lo**exponent), libm_up(self.hi**exponent))
         lo_p = self.lo**exponent
         hi_p = self.hi**exponent
         if self.contains(0.0):
-            return Interval(0.0, round_up(max(lo_p, hi_p)))
-        return Interval(round_down(min(lo_p, hi_p)), round_up(max(lo_p, hi_p)))
+            return Interval(0.0, libm_up(max(lo_p, hi_p)))
+        return Interval(libm_down(min(lo_p, hi_p)), libm_up(max(lo_p, hi_p)))
 
     def sq(self) -> "Interval":
         """``x**2`` (tighter name used by contractors)."""
@@ -320,30 +330,30 @@ class Interval:
     def exp(self) -> "Interval":
         lo = math.exp(self.lo) if self.lo > -_INF else 0.0
         hi = math.exp(self.hi) if self.hi < _INF else _INF
-        return Interval(max(round_down(lo), 0.0), round_up(hi))
+        return Interval(max(libm_down(lo), 0.0), libm_up(hi))
 
     def log(self) -> "Interval":
         if self.hi <= 0.0:
             raise DomainError(f"log of non-positive interval {self}")
-        lo = -_INF if self.lo <= 0.0 else round_down(math.log(self.lo))
-        hi = round_up(math.log(self.hi)) if self.hi < _INF else _INF
+        lo = -_INF if self.lo <= 0.0 else libm_down(math.log(self.lo))
+        hi = libm_up(math.log(self.hi)) if self.hi < _INF else _INF
         return Interval(lo, hi)
 
     def tanh(self) -> "Interval":
         return Interval(
-            max(round_down(math.tanh(self.lo)), -1.0),
-            min(round_up(math.tanh(self.hi)), 1.0),
+            max(libm_down(math.tanh(self.lo)), -1.0),
+            min(libm_up(math.tanh(self.hi)), 1.0),
         )
 
     def sigmoid(self) -> "Interval":
         """Logistic function ``1 / (1 + exp(-x))``; monotone increasing."""
         return Interval(
-            max(round_down(_sigmoid(self.lo)), 0.0),
-            min(round_up(_sigmoid(self.hi)), 1.0),
+            max(libm_down(_sigmoid(self.lo)), 0.0),
+            min(libm_up(_sigmoid(self.hi)), 1.0),
         )
 
     def atan(self) -> "Interval":
-        return Interval(round_down(math.atan(self.lo)), round_up(math.atan(self.hi)))
+        return Interval(libm_down(math.atan(self.lo)), libm_up(math.atan(self.hi)))
 
     def sin(self) -> "Interval":
         return _periodic_image(self, math.sin, peak_offset=_PI / 2.0)
@@ -356,15 +366,15 @@ class Interval:
         if not self.is_finite() or self.width() >= _PI:
             return Interval.entire()
         # Poles at pi/2 + k*pi; the slack is relative to the interval
-        # magnitude, the same formula the vectorized paths use, so the
+        # magnitude, the same formula the compiled tape uses, so the
         # pole-containment decision is bit-identical across the scalar
-        # and array implementations.
+        # and tape implementations.
         slack = trig_slack(self.magnitude())
         k = math.ceil((self.lo - slack - _PI / 2.0) / _PI)
         pole = _PI / 2.0 + k * _PI
         if pole <= self.hi + slack:
             return Interval.entire()
-        return Interval(round_down(math.tan(self.lo)), round_up(math.tan(self.hi)))
+        return Interval(libm_down(math.tan(self.lo)), libm_up(math.tan(self.hi)))
 
     # ------------------------------------------------------------------
     # Dunder plumbing
@@ -416,14 +426,14 @@ def _periodic_image(ival: Interval, func, peak_offset: float) -> Interval:
     maximum at ``peak_offset + 2*pi*k`` (minima are shifted by pi).  The
     float representation of pi is inexact, so critical-point containment
     tests are inflated by a relative slack; the endpoint images are always
-    included with outward rounding, which keeps the result sound.
+    included with the libm padding, which keeps the result sound.
     """
     if not ival.is_finite() or ival.width() >= _TWO_PI:
         return Interval(-1.0, 1.0)
     lo_val = func(ival.lo)
     hi_val = func(ival.hi)
-    lower = round_down(min(lo_val, hi_val))
-    upper = round_up(max(lo_val, hi_val))
+    lower = libm_down(min(lo_val, hi_val))
+    upper = libm_up(max(lo_val, hi_val))
     if _contains_critical(ival, peak_offset):
         upper = 1.0
     if _contains_critical(ival, peak_offset + _PI):

@@ -1,27 +1,39 @@
 """Outward-rounding helpers for sound interval arithmetic.
 
 IEEE-754 floating point rounds to nearest by default, so a naively
-computed interval bound can land strictly inside the true bound.  To keep
-enclosures sound we widen every computed bound by one unit in the last
-place (ulp) using :func:`math.nextafter`.  This is slightly looser than
-switching the FPU rounding mode but is portable, branch-free, and — for
-the verification queries in this library — the extra ulp is negligible
-compared to the solver precision ``delta``.
+computed interval bound can land strictly inside the true bound.  Two
+rules keep enclosures sound:
+
+* A correctly rounded IEEE operation (``+ - * /``, ``sqrt``) is at most
+  half an ulp off, so its result is widened by one unit in the last
+  place (ulp) using :func:`math.nextafter` (:func:`round_down`,
+  :func:`round_up`).
+* A libm function (``exp``, ``log``, ``tanh``, ``atan``, …) is not
+  correctly rounded; glibc's ``tanh`` is up to 2 ulps off, and the
+  sigmoid composes ``exp``, ``+`` and ``/``.  Its result is first padded
+  by :data:`LIBM_REL` times its magnitude and then widened by one ulp
+  (:func:`libm_down`, :func:`libm_up`).  The compiled tape of
+  :mod:`repro.expr.compile` pads every inexact instruction by the same
+  :data:`LIBM_REL`.
+
+This is slightly looser than switching the FPU rounding mode but is
+portable, branch-free, and — for the verification queries in this
+library — the padding is negligible compared to the solver precision
+``delta``.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 __all__ = [
+    "LIBM_REL",
     "PAD",
     "TRIG_SLACK",
+    "libm_down",
+    "libm_up",
     "next_down",
-    "next_down_array",
     "next_up",
-    "next_up_array",
     "round_down",
     "round_up",
     "trig_slack",
@@ -30,13 +42,18 @@ __all__ = [
 
 _INF = math.inf
 
+#: Relative padding (8 eps) of a result whose error is not bounded by
+#: IEEE rounding: a libm or NumPy transcendental, or a chain of them.
+#: 8 eps is 8 to 16 ulps of any normal value, several times the
+#: documented and measured error of every kernel the package calls.
+LIBM_REL = 8.0 * 2.0**-52
+
 #: Relative slack used when locating trig critical points and poles: the
 #: float representation of pi is inexact, so containment tests are
 #: inflated by ``TRIG_SLACK * (1 + magnitude)``.  This is the single
-#: source of truth shared by the scalar :class:`~repro.intervals.Interval`,
-#: the batched :class:`~repro.intervals.IntervalArray`, and the compiled
-#: tape semantics of :mod:`repro.expr.compile` — keeping the three
-#: implementations' critical-point decisions bit-identical.
+#: source of truth shared by the scalar :class:`~repro.intervals.Interval`
+#: and the compiled tape semantics of :mod:`repro.expr.compile` — keeping
+#: the two implementations' critical-point decisions bit-identical.
 TRIG_SLACK = 1e-12
 
 #: Relative padding applied by backward (inverse) contractor rules whose
@@ -49,7 +66,7 @@ def trig_slack(magnitude):
     """Absolute slack for trig critical-point tests at a given magnitude.
 
     Accepts a float or an ndarray of magnitudes; the formula is the
-    shared definition used by every interval implementation in the
+    shared definition used by both interval implementations in the
     package.
     """
     return TRIG_SLACK * (1.0 + magnitude)
@@ -92,25 +109,19 @@ def widen(lower: float, upper: float) -> tuple[float, float]:
     return next_down(lower), next_up(upper)
 
 
-def next_down_array(values: np.ndarray, ulps: int = 1) -> np.ndarray:
-    """Vectorized :func:`next_down`: ``ulps`` steps toward ``-inf``.
+def libm_down(value: float) -> float:
+    """Lower bound on the true value of a libm result ``value``.
 
-    ``np.nextafter`` matches ``math.nextafter`` bit-for-bit (identity at
-    ``-inf``, NaN passthrough), so one step reproduces the scalar
-    rounding exactly.  ``ulps=2`` is used by the array ops whose NumPy
-    kernels (pow, exp, log, tan, tanh, sigmoid, atan) may differ from the
-    libm scalars by up to one ulp — the extra step keeps the array result
-    a superset of the scalar one.
+    Pads by :data:`LIBM_REL` times ``|value|``, then one ulp; an infinite
+    result (overflow) gets the one ulp only.
     """
-    out = values
-    for _ in range(ulps):
-        out = np.nextafter(out, -_INF)
-    return out
+    if value == _INF or value == -_INF:
+        return next_down(value)
+    return next_down(value - LIBM_REL * abs(value))
 
 
-def next_up_array(values: np.ndarray, ulps: int = 1) -> np.ndarray:
-    """Vectorized :func:`next_up` (see :func:`next_down_array`)."""
-    out = values
-    for _ in range(ulps):
-        out = np.nextafter(out, _INF)
-    return out
+def libm_up(value: float) -> float:
+    """Upper bound on the true value of a libm result (see :func:`libm_down`)."""
+    if value == _INF or value == -_INF:
+        return next_up(value)
+    return next_up(value + LIBM_REL * abs(value))

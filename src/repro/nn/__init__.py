@@ -1,4 +1,4 @@
-"""Feedforward neural networks with numeric, symbolic, and interval semantics."""
+"""Feedforward neural networks with numeric and symbolic semantics."""
 
 from .activations import (
     LINEAR,

@@ -1,12 +1,10 @@
-"""Activation functions with three coherent semantics.
+"""Activation functions with two coherent semantics.
 
 Each activation provides:
 
 * ``numeric`` — vectorized numpy forward evaluation;
 * ``symbolic`` — an :class:`~repro.expr.Expr` builder (what the SMT
-  queries see);
-* ``interval`` — sound component-wise image bounds on ``(lo, hi)``
-  ndarray pairs (the fast NN interval pass).
+  queries see, and what the solvers bound soundly over boxes).
 
 The paper's case study uses MATLAB's ``tansig``, which is exactly
 ``tanh``; both names resolve to the same object here.  The verification
@@ -24,23 +22,17 @@ import numpy as np
 
 from ..errors import ReproError
 from ..expr import Expr, maximum, sigmoid as sigmoid_expr, tanh as tanh_expr
-from ..intervals.functions import (
-    interval_relu_bounds,
-    interval_sigmoid_bounds,
-    interval_tanh_bounds,
-)
 
 __all__ = ["Activation", "get_activation", "available_activations", "TANSIG", "LOGSIG", "RELU", "LINEAR"]
 
 
 @dataclass(frozen=True)
 class Activation:
-    """Bundle of the three semantics of one activation function."""
+    """Bundle of the two semantics of one activation function."""
 
     name: str
     numeric: Callable[[np.ndarray], np.ndarray]
     symbolic: Callable[[Expr], Expr]
-    interval: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     #: True when the function is smooth (required for barrier gradients).
     smooth: bool = True
 
@@ -57,29 +49,22 @@ def _sigmoid_numeric(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _identity_bounds(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return lo, hi
-
-
 TANSIG = Activation(
     name="tansig",
     numeric=np.tanh,
     symbolic=tanh_expr,
-    interval=interval_tanh_bounds,
 )
 
 LOGSIG = Activation(
     name="logsig",
     numeric=_sigmoid_numeric,
     symbolic=sigmoid_expr,
-    interval=interval_sigmoid_bounds,
 )
 
 RELU = Activation(
     name="relu",
     numeric=lambda x: np.maximum(x, 0.0),
     symbolic=lambda e: maximum(e, 0.0),
-    interval=interval_relu_bounds,
     smooth=False,
 )
 
@@ -87,7 +72,6 @@ LINEAR = Activation(
     name="linear",
     numeric=lambda x: x,
     symbolic=lambda e: e,
-    interval=_identity_bounds,
 )
 
 _REGISTRY: dict[str, Activation] = {

@@ -6,15 +6,13 @@ shape ``2 -> Nh (tansig) -> 1 (linear)``; :func:`controller_network`
 builds exactly that and checks the ``4*Nh + 1`` parameter count from
 Section 4.2.
 
-Three coherent evaluation semantics are exposed:
+Two coherent evaluation semantics are exposed:
 
 * :meth:`FeedforwardNetwork.forward` — batched numpy evaluation;
 * :meth:`FeedforwardNetwork.symbolic_outputs` — expression-level
   composition used to build the closed-loop vector field for the SMT
-  queries;
-* :meth:`FeedforwardNetwork.interval_forward` — vectorized sound output
-  bounds over input boxes (used for quick screening and tests; the ICP
-  solver itself consumes the symbolic form through compiled tapes).
+  queries.  The solvers bound it soundly over boxes through the
+  scalar :class:`~repro.intervals.Interval` or the compiled tapes.
 
 Parameters are exposed as one flat vector (:meth:`get_parameters` /
 :meth:`set_parameters`) because the CMA-ES policy search optimizes the
@@ -30,7 +28,6 @@ import numpy as np
 
 from ..errors import ReproError
 from ..expr import Expr, as_expr, dot
-from ..intervals.functions import interval_affine
 from .activations import Activation, get_activation
 
 __all__ = ["Layer", "FeedforwardNetwork", "controller_network"]
@@ -174,26 +171,6 @@ class FeedforwardNetwork:
                 next_values.append(layer.activation.symbolic(pre))
             values = next_values
         return values
-
-    # ------------------------------------------------------------------
-    # Interval semantics
-    # ------------------------------------------------------------------
-    def interval_forward(
-        self, lower: np.ndarray, upper: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sound output bounds for inputs in the box ``[lower, upper]``."""
-        lo = np.asarray(lower, dtype=float)
-        hi = np.asarray(upper, dtype=float)
-        if lo.shape != (self.input_dimension,) or hi.shape != lo.shape:
-            raise ReproError(
-                f"expected bound vectors of shape ({self.input_dimension},)"
-            )
-        if np.any(lo > hi):
-            raise ReproError("lower bound exceeds upper bound")
-        for layer in self.layers:
-            lo, hi = interval_affine(layer.weights, layer.biases, lo, hi)
-            lo, hi = layer.activation.interval(lo, hi)
-        return lo, hi
 
     # ------------------------------------------------------------------
     # Flat parameter vector (for CMA-ES)

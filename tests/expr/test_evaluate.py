@@ -16,7 +16,6 @@ from repro.expr import (
     dot,
     evaluate,
     evaluate_box,
-    evaluate_box_array,
     exp,
     log,
     maximum,
@@ -28,9 +27,7 @@ from repro.expr import (
     tanh,
     var,
 )
-import numpy as np
-
-from repro.intervals import Box, BoxArray, Interval
+from repro.intervals import Box, Interval
 
 X, Y = var("x"), var("y")
 
@@ -95,44 +92,6 @@ class TestIntervalSemantics:
     def test_evaluate_box_dimension_check(self):
         with pytest.raises(EvaluationError):
             evaluate_box(X, Box.from_bounds([0], [1]), ["x", "y"])
-
-    BOXES = [
-        Box.from_bounds([-1.0, 0.0], [1.0, 1.0]),
-        Box.from_bounds([0.25, -2.0], [0.5, -1.5]),
-        Box.from_bounds([-3.0, 0.5], [-3.0, 0.5]),
-    ]
-
-    def batched_and_scalar(self, expr):
-        got = evaluate_box_array(expr, BoxArray.from_boxes(self.BOXES), ["x", "y"])
-        want = [evaluate_box(expr, box, ["x", "y"]) for box in self.BOXES]
-        return got, np.array([w.lo for w in want]), np.array([w.hi for w in want])
-
-    @pytest.mark.parametrize(
-        "expr",
-        [
-            sin(X) * Y + X * X - Y / (2 + cos(X)),
-            absolute(Y) * minimum(X, Y) - maximum(X, -Y),
-            X * 0 + 2.5,
-        ],
-    )
-    def test_evaluate_box_array_matches_evaluate_box(self, expr):
-        """Correctly rounded operations: bit-identical to the scalar walk."""
-        got, lo, hi = self.batched_and_scalar(expr)
-        assert np.array_equal(got.lo, lo) and np.array_equal(got.hi, hi)
-
-    def test_evaluate_box_array_encloses_evaluate_box(self):
-        """Transcendentals are padded by a few ulps: a tight superset."""
-        got, lo, hi = self.batched_and_scalar(
-            tanh(Y) * exp(X) - sigmoid(X) / (1 + Y * Y)
-        )
-        assert (got.lo <= lo).all() and (hi <= got.hi).all()
-        assert np.allclose(got.lo, lo, rtol=1e-12) and np.allclose(got.hi, hi, rtol=1e-12)
-
-    def test_evaluate_box_array_dimension_check(self):
-        with pytest.raises(EvaluationError):
-            evaluate_box_array(
-                X, BoxArray.from_box(Box.from_bounds([0], [1])), ["x", "y"]
-            )
 
     @given(
         st.floats(min_value=-3, max_value=3, allow_nan=False),

@@ -1,18 +1,13 @@
-"""Printer tests: infix readability and SMT-LIB structure."""
+"""Printer tests: infix readability."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.expr import (
-    absolute,
     maximum,
     minimum,
-    sigmoid,
     sin,
     tanh,
     to_infix,
-    to_smtlib,
     var,
 )
 
@@ -64,34 +59,3 @@ class TestInfix:
         text = to_infix(long, max_length=30)
         assert len(text) == 30
         assert text.endswith("...")
-
-
-class TestSmtLib:
-    def test_basic_sexpr(self):
-        assert to_smtlib(X + Y) == "(+ x y)"
-        assert to_smtlib(X * 2.0) == "(* x 2)"
-
-    def test_negative_constant(self):
-        assert to_smtlib(X + (-2.0)) == "(+ x (- 2))"
-
-    def test_pow(self):
-        assert to_smtlib(X**3) == "(^ x 3)"
-
-    def test_unary(self):
-        assert to_smtlib(sin(X)) == "(sin x)"
-        assert to_smtlib(tanh(X)) == "(tanh x)"
-        assert to_smtlib(absolute(X)) == "(abs x)"
-
-    def test_sigmoid_expansion(self):
-        text = to_smtlib(sigmoid(X))
-        assert "exp" in text
-        assert text == "(/ 1 (+ 1 (exp (- x))))"
-
-    def test_min_max_ite(self):
-        assert to_smtlib(minimum(X, Y)) == "(ite (<= x y) x y)"
-        assert to_smtlib(maximum(X, Y)) == "(ite (>= x y) x y)"
-
-    def test_balanced_parens(self):
-        expr = sin(X * Y) + tanh(X) / (Y - 2.0) ** 2
-        text = to_smtlib(expr)
-        assert text.count("(") == text.count(")")

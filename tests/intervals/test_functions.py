@@ -1,13 +1,10 @@
-"""Tests for dual-semantics helpers and vectorized interval linear algebra."""
+"""Tests for the dual-semantics (float or interval) helpers."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.intervals import (
     Interval,
@@ -18,11 +15,6 @@ from repro.intervals import (
     ilog,
     imax,
     imin,
-    interval_affine,
-    interval_matvec,
-    interval_relu_bounds,
-    interval_sigmoid_bounds,
-    interval_tanh_bounds,
     ipow,
     isigmoid,
     isin,
@@ -71,78 +63,3 @@ class TestScalarDispatch:
     def test_min_interval_semantics(self):
         result = imin(Interval(0, 5), Interval(3, 4))
         assert result == Interval(0, 4)
-
-
-class TestIntervalMatvec:
-    def test_simple(self):
-        matrix = np.array([[1.0, -1.0], [2.0, 0.0]])
-        lo, hi = interval_matvec(matrix, np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-        # Row 0: x0 - x1 over [0,1]^2 -> [-1, 1]; row 1: 2 x0 -> [0, 2].
-        assert lo[0] <= -1.0 <= hi[0]
-        assert lo[1] <= 0.0 and hi[1] >= 2.0
-        assert lo[0] <= 1.0 <= hi[0]
-
-    def test_affine_adds_bias(self):
-        matrix = np.eye(2)
-        bias = np.array([10.0, -10.0])
-        lo, hi = interval_affine(matrix, bias, np.zeros(2), np.ones(2))
-        assert lo[0] <= 10.0 <= hi[0] + 1.0
-        assert lo[1] <= -10.0
-
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6), st.integers(0, 10_000))
-    def test_matvec_inclusion_random(self, rows, cols, seed):
-        rng = np.random.default_rng(seed)
-        matrix = rng.normal(size=(rows, cols)) * 3.0
-        lo = rng.normal(size=cols)
-        hi = lo + rng.uniform(0.0, 2.0, size=cols)
-        out_lo, out_hi = interval_matvec(matrix, lo, hi)
-        for _ in range(10):
-            x = rng.uniform(lo, hi)
-            y = matrix @ x
-            assert np.all(y >= out_lo - 1e-12)
-            assert np.all(y <= out_hi + 1e-12)
-
-    def test_widening_covers_rounding(self):
-        # A dot product whose naive endpoint evaluation is exact should
-        # still produce bounds at least as wide as the true value.
-        matrix = np.array([[0.1] * 1000])
-        lo = np.full(1000, 0.1)
-        hi = np.full(1000, 0.1)
-        out_lo, out_hi = interval_matvec(matrix, lo, hi)
-        exact = 0.1 * 0.1 * 1000
-        assert out_lo[0] <= exact <= out_hi[0]
-
-
-class TestActivationBounds:
-    @pytest.mark.parametrize(
-        "bounds_fn,numeric",
-        [
-            (interval_tanh_bounds, np.tanh),
-            (interval_sigmoid_bounds, lambda x: 1.0 / (1.0 + np.exp(-x))),
-            (interval_relu_bounds, lambda x: np.maximum(x, 0.0)),
-        ],
-    )
-    def test_inclusion(self, bounds_fn, numeric, rng):
-        lo = rng.normal(size=50) * 3.0
-        hi = lo + rng.uniform(0.0, 2.0, size=50)
-        out_lo, out_hi = bounds_fn(lo, hi)
-        for t in np.linspace(0.0, 1.0, 7):
-            x = lo + t * (hi - lo)
-            y = numeric(x)
-            assert np.all(y >= out_lo - 1e-12)
-            assert np.all(y <= out_hi + 1e-12)
-
-    def test_tanh_clamped(self):
-        lo, hi = interval_tanh_bounds(np.array([-1e9]), np.array([1e9]))
-        assert lo[0] >= -1.0
-        assert hi[0] <= 1.0
-
-    def test_sigmoid_clamped(self):
-        lo, hi = interval_sigmoid_bounds(np.array([-1e9]), np.array([1e9]))
-        assert lo[0] >= 0.0
-        assert hi[0] <= 1.0
-
-    def test_relu_exact(self):
-        lo, hi = interval_relu_bounds(np.array([-2.0]), np.array([3.0]))
-        assert lo[0] == 0.0
-        assert hi[0] == 3.0

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -51,7 +49,7 @@ class TestRegistry:
 
 
 class TestSemanticCoherence:
-    """numeric == symbolic == interval endpoints, for each activation."""
+    """numeric == symbolic, for each activation."""
 
     @pytest.mark.parametrize("act", [TANSIG, LOGSIG, RELU, LINEAR], ids=lambda a: a.name)
     def test_numeric_vs_symbolic(self, act, rng):
@@ -62,17 +60,6 @@ class TestSemanticCoherence:
             numeric = float(act.numeric(np.array([x]))[0])
             symbolic = evaluate(sym, {"x": float(x)})
             assert numeric == pytest.approx(symbolic, rel=1e-12, abs=1e-12)
-
-    @pytest.mark.parametrize("act", [TANSIG, LOGSIG, RELU, LINEAR], ids=lambda a: a.name)
-    def test_interval_encloses_numeric(self, act, rng):
-        lo = rng.uniform(-3.0, 2.0, size=30)
-        hi = lo + rng.uniform(0.0, 2.0, size=30)
-        out_lo, out_hi = act.interval(lo, hi)
-        for t in (0.0, 0.3, 1.0):
-            x = lo + t * (hi - lo)
-            y = act.numeric(x)
-            assert np.all(y >= out_lo - 1e-12)
-            assert np.all(y <= out_hi + 1e-12)
 
     def test_tansig_is_matlab_tansig(self):
         """tansig(v) = 2/(1+exp(-2v)) - 1 must equal tanh(v)."""

@@ -1,4 +1,4 @@
-"""FeedforwardNetwork tests: shapes, three-semantics agreement, parameters."""
+"""FeedforwardNetwork tests: shapes, numeric/symbolic agreement, parameters."""
 
 from __future__ import annotations
 
@@ -85,33 +85,6 @@ class TestSemanticsAgreement:
             env = {f"y{i}": float(v) for i, v in enumerate(y)}
             symbolic = np.array([evaluate(e, env) for e in exprs])
             assert np.allclose(numeric, symbolic, rtol=1e-10, atol=1e-10)
-
-    @pytest.mark.parametrize("activation", ["tansig", "logsig", "relu"])
-    def test_interval_forward_encloses(self, activation, rng):
-        net = make_net([2, 6, 1], rng, activation=activation)
-        lo = np.array([-1.0, -0.5])
-        hi = np.array([0.5, 1.0])
-        out_lo, out_hi = net.interval_forward(lo, hi)
-        for _ in range(200):
-            y = rng.uniform(lo, hi)
-            u = net.forward(y)
-            assert np.all(u >= out_lo - 1e-9)
-            assert np.all(u <= out_hi + 1e-9)
-
-    def test_interval_forward_point_box_tight(self, rng):
-        net = make_net([2, 6, 1], rng)
-        y = np.array([0.3, -0.7])
-        lo, hi = net.interval_forward(y, y)
-        u = net.forward(y)
-        assert np.all(np.abs(u - lo) < 1e-9)
-        assert np.all(np.abs(u - hi) < 1e-9)
-
-    def test_interval_forward_validation(self, rng):
-        net = make_net([2, 3, 1], rng)
-        with pytest.raises(ReproError):
-            net.interval_forward(np.zeros(3), np.zeros(3))
-        with pytest.raises(ReproError):
-            net.interval_forward(np.ones(2), np.zeros(2))
 
     @given(st.integers(min_value=1, max_value=64))
     def test_symbolic_wide_layer(self, width):
