@@ -28,8 +28,6 @@ Subpackages
 ``repro.expr``       symbolic expressions (eval / intervals / autodiff / tapes)
 ``repro.intervals``  sound interval arithmetic
 ``repro.smt``        branch-and-prune δ-SAT solver (the dReal stand-in)
-``repro.solvers``    external SMT solvers: SMT-LIB emission, z3/dreal
-                     subprocess adapters and probes
 ``repro.nn``         feedforward networks with dual numeric/symbolic semantics
 ``repro.sim``        ODE integrators, traces, samplers
 ``repro.dynamics``   plants, paths, Dubins car, closed-loop composition
@@ -50,7 +48,6 @@ from . import (
     reach,
     sim,
     smt,
-    solvers,
 )
 from .api import (
     RunArtifact,
@@ -117,7 +114,6 @@ __all__ = [
     "run_batch",
     "sim",
     "smt",
-    "solvers",
     "train_paper_controller",
     "verify_system",
 ]

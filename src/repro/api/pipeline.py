@@ -73,8 +73,7 @@ class VerificationPipeline:
         and end of every stage.
     engine:
         Solver stack: a registered engine name or
-        :class:`~repro.engine.Engine`; None defers to ``config.engine``
-        (``"native"`` by default).
+        :class:`~repro.engine.Engine`; None runs ``"native"``.
     """
 
     #: stage names in execution order

@@ -189,16 +189,6 @@ def _artifact_from_run(
     )
 
 
-def _resolve_run_engine(
-    scenario: Scenario,
-    config: SynthesisConfig,
-    engine: "str | Engine | None",
-) -> Engine:
-    """Engine precedence: explicit arg > scenario override > config."""
-    spec = engine if engine is not None else scenario.engine
-    return resolve_engine(spec if spec is not None else config.engine)
-
-
 def run(
     scenario: "str | Scenario",
     config: SynthesisConfig | None = None,
@@ -209,10 +199,8 @@ def run(
     """Verify one scenario (by registry name or object).
 
     ``config`` overrides the scenario's bundled config for this run.
-    The solver stack resolves with the precedence ``engine`` argument >
-    ``scenario.engine`` > ``config.engine`` — a scenario's engine
-    override outranks any config's (bundled or explicit); pass
-    ``engine=`` to force a different stack.
+    ``engine`` (a registered name or :class:`~repro.engine.Engine`)
+    selects the solver stack; None runs ``"native"``.
 
     ``cache`` consults the content-addressed artifact store of
     :mod:`repro.store` before solving and records the artifact after:
@@ -226,7 +214,7 @@ def run(
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     effective = config or scenario.config
-    engine_obj = _resolve_run_engine(scenario, effective, engine)
+    engine_obj = resolve_engine(engine)
     store = resolve_store(cache)
     if store is not None:
         key = run_key(scenario, effective, engine_obj.name)
@@ -331,11 +319,10 @@ def run_batch(
     scenario gets its own synthesis seed derived from
     :func:`derive_scenario_seed` *before* any fan-out, so artifacts are
     identical for any ``workers`` value.  ``engine`` selects the solver
-    stack for every run.  Engine specs — the argument, each scenario's
-    override, or its config's — are resolved to :class:`Engine` objects
-    eagerly in this process (failing fast on unknown names, like
-    scenario names), so user-registered engines, which spawn-started
-    workers do not inherit, still work.
+    stack for every run (None runs ``"native"``).  It is resolved to an
+    :class:`Engine` once, eagerly in this process (failing fast on
+    unknown names, like scenario names), so user-registered engines,
+    which spawn-started workers do not inherit, still work.
 
     ``cache`` wires every run through the :mod:`repro.store` artifact
     cache (same semantics as :func:`run`); the store is resolved once
@@ -379,21 +366,18 @@ def run_batch(
             )
             for scenario in resolved
         ]
-    engines = [
-        _resolve_run_engine(scenario, cfg or scenario.config, engine)
-        for scenario, cfg in zip(resolved, configs)
-    ]
+    engine_obj = resolve_engine(engine)
 
     if workers == 1 or len(resolved) == 1:
         return [
-            _execute(scenario, cfg, strip_report=False, engine=eng, cache=store)
-            for scenario, cfg, eng in zip(resolved, configs, engines)
+            _execute(scenario, cfg, strip_report=False, engine=engine_obj, cache=store)
+            for scenario, cfg in zip(resolved, configs)
         ]
 
     picklable: list[bool] = []
-    for payload in zip(resolved, configs, engines):
+    for scenario, cfg in zip(resolved, configs):
         try:
-            pickle.dumps(payload)
+            pickle.dumps((scenario, cfg, engine_obj))
             picklable.append(True)
         except Exception:  # noqa: BLE001 — unpicklable payloads run inline
             picklable.append(False)
@@ -412,14 +396,14 @@ def run_batch(
         if not ok:
             results[i] = _execute(
                 resolved[i], configs[i], strip_report=False,
-                engine=engines[i], cache=store,
+                engine=engine_obj, cache=store,
             )
     chunk_groups = [
         remote[start : start + chunksize]
         for start in range(0, len(remote), chunksize)
     ]
     _dispatch_supervised(
-        chunk_groups, resolved, configs, engines, store,
+        chunk_groups, resolved, configs, engine_obj, store,
         results, pool, workers,
     )
     return [artifact for artifact in results if artifact is not None]
@@ -493,7 +477,7 @@ def _dispatch_supervised(
     chunk_groups: "list[list[int]]",
     resolved: "list[Scenario]",
     configs: "list[SynthesisConfig | None]",
-    engines: "list[Engine]",
+    engine: Engine,
     store,
     results: "list[RunArtifact | None]",
     pool: "WarmPool | None",
@@ -527,7 +511,7 @@ def _dispatch_supervised(
                 if done[ci]:
                     continue
                 payloads = [
-                    (resolved[i], configs[i], engines[i]) for i in indices
+                    (resolved[i], configs[i], engine) for i in indices
                 ]
                 futures.append(
                     (ci, executor.submit(_execute_chunk, payloads, store))

@@ -174,12 +174,6 @@ class Scenario:
     config: SynthesisConfig = field(default_factory=SynthesisConfig)
     #: free-form grouping labels ("paper", "library", ...)
     tags: tuple[str, ...] = ()
-    #: solver stack override: a registered engine name (see
-    #: :mod:`repro.engine`); None defers to ``config.engine``.  When
-    #: set, it outranks the engine of *any* config handed to
-    #: :func:`repro.api.run` — only an explicit ``engine=`` argument
-    #: overrides it.
-    engine: str | None = None
     #: name of the :class:`~repro.api.family.ScenarioFamily` this
     #: scenario was instantiated from (None for hand-built scenarios)
     family: str | None = None
@@ -211,10 +205,6 @@ class Scenario:
     def with_config(self, config: SynthesisConfig) -> "Scenario":
         """A copy of this scenario running under a different config."""
         return dataclasses.replace(self, config=config)
-
-    def with_engine(self, engine: str | None) -> "Scenario":
-        """A copy of this scenario running on a different engine."""
-        return dataclasses.replace(self, engine=engine)
 
 
 _REGISTRY: dict[str, Scenario] = {}
@@ -264,14 +254,7 @@ def list_scenarios() -> tuple[Scenario, ...]:
 # SynthesisConfig <-> plain-dict (JSON) conversion
 # ----------------------------------------------------------------------
 def synthesis_config_to_dict(config: SynthesisConfig) -> dict:
-    """Flatten a config (incl. nested LP/ICP knobs) to JSON-safe data.
-
-    An :class:`~repro.engine.Engine` object in ``config.engine`` flattens
-    to its registry name (backend objects are not JSON material).
-    """
-    engine = config.engine
-    if not isinstance(engine, str):
-        config = dataclasses.replace(config, engine=getattr(engine, "name", str(engine)))
+    """Flatten a config (incl. nested LP/ICP knobs) to JSON-safe data."""
     return dataclasses.asdict(config)
 
 
@@ -287,13 +270,19 @@ _RETIRED_ICP_KEYS = (
     "solver_timeout",
 )
 
+#: Top-level config keys that no longer exist: the engine is named only
+#: by the ``engine=`` argument of :func:`repro.api.run` (and its CLI and
+#: service counterparts), so a config's own ``engine`` is ignored.
+_RETIRED_CONFIG_KEYS = ("engine",)
+
 
 def synthesis_config_from_dict(data: dict) -> SynthesisConfig:
     """Inverse of :func:`synthesis_config_to_dict`.
 
-    Retired ICP keys in older dicts are dropped, so those still load.
+    Retired top-level and ICP keys in older dicts are dropped, so those
+    still load.
     """
-    payload = dict(data)
+    payload = {k: v for k, v in data.items() if k not in _RETIRED_CONFIG_KEYS}
     lp = payload.pop("lp", None)
     icp = payload.pop("icp", None)
     if lp is not None:

@@ -42,14 +42,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..barrier import SynthesisConfig
-from ..engine import Engine
+from ..engine import Engine, resolve_engine
 from ..errors import ReproError
 from ..store import resolve_store, run_key
 from .family import ScenarioFamily, format_param_value, get_family
 from .pool import WarmPool, WarmupSpec, get_warm_pool
 from .runner import (
     RunArtifact,
-    _resolve_run_engine,
     derive_scenario_seed,
     run_batch,
 )
@@ -289,8 +288,8 @@ def sweep(
     started = time.perf_counter()
     points = instantiate_points(family, grid, samples, seed, overrides)
 
+    engine_obj = resolve_engine(engine)
     scenarios: list[Scenario] = []
-    engines: list[Engine] = []
     for point in points:
         scenario = family.instantiate(**point)
         base = config or scenario.config
@@ -299,14 +298,13 @@ def sweep(
         )
         scenario = scenario.with_config(cfg)
         scenarios.append(scenario)
-        engines.append(_resolve_run_engine(scenario, cfg, engine))
 
     store = resolve_store(cache)
     results: list[RunArtifact | None] = [None] * len(scenarios)
     misses: list[int] = []
     if store is not None:
-        for i, (scenario, eng) in enumerate(zip(scenarios, engines)):
-            hit = store.get(run_key(scenario, scenario.config, eng.name))
+        for i, scenario in enumerate(scenarios):
+            hit = store.get(run_key(scenario, scenario.config, engine_obj.name))
             if hit is not None:
                 hit.cached = True
                 results[i] = hit
@@ -338,7 +336,7 @@ def sweep(
         fresh = run_batch(
             [scenarios[i] for i in misses],
             workers=effective_workers,
-            engine=engine,
+            engine=engine_obj,
             cache=store if store is not None else False,
             pool=warm_pool,
         )
@@ -346,10 +344,9 @@ def sweep(
             results[i] = artifact
 
     artifacts = [a for a in results if a is not None]
-    engine_names = {e.name for e in engines}
     return SweepReport(
         family=family.name,
-        engine=engine_names.pop() if len(engine_names) == 1 else "mixed",
+        engine=engine_obj.name,
         seed=seed,
         points=points,
         artifacts=artifacts,

@@ -36,7 +36,6 @@ from .falsify import (
     falsify_cmaes,
     falsify_random,
     trajectory_robustness,
-    witness_point,
 )
 from .levelset import (
     ellipsoid_bounding_rectangle,
@@ -95,5 +94,4 @@ __all__ = [
     "symbolic_jacobian",
     "trajectory_robustness",
     "verify_system",
-    "witness_point",
 ]

@@ -34,46 +34,7 @@ __all__ = [
     "trajectory_robustness",
     "falsify_random",
     "falsify_cmaes",
-    "witness_point",
 ]
-
-
-def witness_point(
-    model: "dict[str, float | Sequence[float]]", names: Sequence[str]
-) -> np.ndarray:
-    """Concrete simulation seed from a δ-SAT solver model.
-
-    External solvers do not report exact rationals for every variable:
-    dReal's models are *intervals*, sometimes open (``( lo, hi )``), and
-    only degenerate when the variable is pinned.  Whether the endpoints
-    are attained is irrelevant for a δ-weakened witness, so any interval
-    value — tuple, list, or array of ``(lo, hi)`` — collapses to its
-    midpoint, which lies strictly inside even an open interval.  Scalar
-    values pass through unchanged.
-
-    Raises :class:`~repro.errors.ReproError` when the model omits one of
-    ``names`` or reports a non-finite value — callers must treat the
-    verdict as UNKNOWN rather than fabricate a witness.
-    """
-    point = np.empty(len(names), dtype=float)
-    for index, name in enumerate(names):
-        if name not in model:
-            raise ReproError(f"solver model has no value for variable {name!r}")
-        value = model[name]
-        if isinstance(value, (tuple, list, np.ndarray)):
-            if len(value) != 2:
-                raise ReproError(
-                    f"interval value for {name!r} must be (lo, hi), got {value!r}"
-                )
-            lo, hi = float(value[0]), float(value[1])
-            if hi < lo:
-                raise ReproError(f"empty interval for {name!r}: ({lo}, {hi})")
-            point[index] = 0.5 * (lo + hi)
-        else:
-            point[index] = float(value)
-        if not np.isfinite(point[index]):
-            raise ReproError(f"non-finite model value for {name!r}")
-    return point
 
 
 @dataclass

@@ -22,8 +22,8 @@ seconds, other, total).
 
 Every solver invocation — trace generation, LP fitting, δ-SAT checking —
 goes through the backend protocols of :mod:`repro.engine`; which stack
-runs is selected by ``SynthesisConfig.engine`` (or the ``engine``
-argument of :func:`verify_system`), ``"native"`` by default.
+runs is selected by the ``engine`` argument of :func:`verify_system`,
+``"native"`` by default.
 """
 
 from __future__ import annotations
@@ -135,12 +135,6 @@ class SynthesisConfig:
     #: try an analytic Lyapunov candidate (linearization) before the
     #: simulation-guided LP; falls back silently if it fails check (5)
     try_lyapunov_first: bool = False
-    #: solver stack to run on: a registered engine name from
-    #: :mod:`repro.engine` (``"native"``, ``"batched-icp"``, a
-    #: user-registered name) or an
-    #: :class:`~repro.engine.Engine` object (names serialize; objects
-    #: flatten to their name in :func:`synthesis_config_to_dict`)
-    engine: "str | Engine" = "native"
 
     def __post_init__(self) -> None:
         if self.gamma <= 0:
@@ -237,14 +231,14 @@ def verify_system(
     :class:`repro.api.VerificationPipeline`'s progress callbacks.
 
     ``engine`` (a registered name or :class:`~repro.engine.Engine`)
-    selects the solver stack; None defers to ``config.engine``.
+    selects the solver stack; None runs ``"native"``.
     """
     # Imported here: repro.engine's builtin backends wrap this package's
     # solvers, so a module-level import would be circular.
     from ..engine import resolve_engine
 
     config = config or SynthesisConfig()
-    engine_obj = resolve_engine(engine if engine is not None else config.engine)
+    engine_obj = resolve_engine(engine)
     system = problem.system
     template = template or QuadraticTemplate(system.dimension)
     rng = np.random.default_rng(config.seed)

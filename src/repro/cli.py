@@ -5,8 +5,6 @@ Commands
 scenarios list the registered verification scenarios (``--json`` for tooling)
 families  list the registered scenario families + their parameters
 engines   list the registered solver engines (``--json`` for tooling)
-solvers   probe the external SMT solver binaries (z3/dreal)
-          (``--json`` for tooling)
 verify    run the Figure-1 verification on a registered scenario
           (``--scenario``) or on the paper's Dubins case study with a
           hand-built, trained, or JSON-loaded controller
@@ -86,19 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_engines.add_argument(
         "--json", action="store_true",
         help="emit the registry as JSON (for tooling)",
-    )
-
-    p_solvers = sub.add_parser(
-        "solvers",
-        help="probe the external SMT solver binaries (z3/dreal)",
-    )
-    p_solvers.add_argument(
-        "--json", action="store_true",
-        help="emit the probe results as JSON (for tooling)",
-    )
-    p_solvers.add_argument(
-        "--refresh", action="store_true",
-        help="re-probe binaries instead of using cached results",
     )
 
     p_verify = sub.add_parser("verify", help="verify a controller or scenario")
@@ -497,7 +482,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
                 "description": s.description,
                 "dimension": s.dimension,
                 "tags": list(s.tags),
-                "engine": s.engine,
             }
             for s in scenarios
         ]
@@ -768,33 +752,6 @@ def _cmd_engines(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_solvers(args: argparse.Namespace) -> int:
-    import dataclasses
-    import json
-
-    from .solvers import probe_all
-
-    infos = probe_all(refresh=args.refresh)
-    if args.json:
-        # A list of entries, like `engines --json`.
-        print(json.dumps(
-            [dataclasses.asdict(infos[name]) for name in sorted(infos)],
-            indent=2,
-            sort_keys=True,
-        ))
-        return 0
-    width = max(len(name) for name in infos) if infos else 0
-    for name, info in infos.items():
-        if info.available:
-            print(f"{name:<{width}}  available  {info.version}  ({info.command})")
-        else:
-            print(f"{name:<{width}}  missing    {info.reason}")
-    found = sum(1 for info in infos.values() if info.available)
-    print(f"\n{found}/{len(infos)} external solvers available "
-          "(set REPRO_Z3 / REPRO_DREAL to point at binaries)")
-    return 0
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     import dataclasses
 
@@ -1039,7 +996,6 @@ _COMMANDS = {
     "scenarios": _cmd_scenarios,
     "families": _cmd_families,
     "engines": _cmd_engines,
-    "solvers": _cmd_solvers,
     "verify": _cmd_verify,
     "profile": _cmd_profile,
     "batch": _cmd_batch,

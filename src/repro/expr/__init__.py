@@ -3,7 +3,7 @@
 Vector fields, controllers, and barrier templates are all expressions.
 They evaluate numerically, evaluate soundly over interval boxes, compile
 to batched tapes for the δ-SAT solver, differentiate symbolically, and
-print to infix (SMT-LIB emission lives in :mod:`repro.solvers.smtlib`).
+print to infix.
 """
 
 from .build import (

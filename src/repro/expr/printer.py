@@ -1,7 +1,7 @@
 """Expression pretty-printing: deterministic infix strings.
 
-SMT-LIB 2 output for external solvers is :mod:`repro.solvers.smtlib`'s
-job; it prints exact decimal literals, which ``repr(float)`` is not.
+Infix output is for reading and for artifact records; it is not
+SMT-LIB, and ``repr(float)`` literals are not exact decimals.
 """
 
 from __future__ import annotations

@@ -3,7 +3,11 @@
 The simplifier is deliberately conservative — it applies only rewrites
 valid for every real (and interval) valuation:
 
-* constant folding of any node with all-constant children;
+* constant folding of ``+ - * /``, ``**``, ``min``/``max``, negation and
+  ``abs`` over constant children, only where the float result is the
+  exact real result (checked with :class:`fractions.Fraction`);
+  transcendental nodes over constants are kept, so their values stay
+  with the sound interval semantics instead of a rounded libm float;
 * ``x + 0``, ``0 + x``, ``x - 0``, ``x * 1``, ``1 * x``, ``x / 1``;
 * ``x * 0`` and ``0 * x`` to ``0`` (sound: operands are total functions
   of the variables — partial-domain ops like log keep their argument);
@@ -17,6 +21,8 @@ the number of distinct nodes.
 from __future__ import annotations
 
 import math
+import operator
+from fractions import Fraction
 
 from .node import (
     Add,
@@ -66,6 +72,7 @@ def _simplify_node(node: Expr, rebuilt: dict[int, Expr]) -> Expr:
     if isinstance(node, Neg):
         child = rebuilt[id(node.child)]
         if isinstance(child, Const):
+            # negation only flips the sign bit: always exact
             return Const(-child.value)
         if isinstance(child, Neg):
             return child.child
@@ -74,7 +81,9 @@ def _simplify_node(node: Expr, rebuilt: dict[int, Expr]) -> Expr:
         left = rebuilt[id(node.left)]
         right = rebuilt[id(node.right)]
         if isinstance(left, Const) and isinstance(right, Const):
-            return Const(left.value + right.value)
+            folded = _exact_fold(operator.add, left.value, right.value)
+            if folded is not None:
+                return folded
         if is_zero(left):
             return right
         if is_zero(right):
@@ -84,7 +93,9 @@ def _simplify_node(node: Expr, rebuilt: dict[int, Expr]) -> Expr:
         left = rebuilt[id(node.left)]
         right = rebuilt[id(node.right)]
         if isinstance(left, Const) and isinstance(right, Const):
-            return Const(left.value - right.value)
+            folded = _exact_fold(operator.sub, left.value, right.value)
+            if folded is not None:
+                return folded
         if is_zero(right):
             return left
         if is_zero(left):
@@ -94,7 +105,9 @@ def _simplify_node(node: Expr, rebuilt: dict[int, Expr]) -> Expr:
         left = rebuilt[id(node.left)]
         right = rebuilt[id(node.right)]
         if isinstance(left, Const) and isinstance(right, Const):
-            return Const(left.value * right.value)
+            folded = _exact_fold(operator.mul, left.value, right.value)
+            if folded is not None:
+                return folded
         if is_zero(left) or is_zero(right):
             return Const(0.0)
         if is_one(left):
@@ -107,7 +120,9 @@ def _simplify_node(node: Expr, rebuilt: dict[int, Expr]) -> Expr:
         right = rebuilt[id(node.right)]
         if isinstance(right, Const) and right.value != 0.0:
             if isinstance(left, Const):
-                return Const(left.value / right.value)
+                folded = _exact_fold(operator.truediv, left.value, right.value)
+                if folded is not None:
+                    return folded
             if right.value == 1.0:
                 return left
         if is_zero(left) and not is_zero(right):
@@ -123,14 +138,14 @@ def _simplify_node(node: Expr, rebuilt: dict[int, Expr]) -> Expr:
         if node.exponent == 1:
             return base
         if isinstance(base, Const):
-            return Const(base.value**node.exponent)
+            folded = _exact_fold(operator.pow, base.value, node.exponent)
+            if folded is not None:
+                return folded
         return Pow(base, node.exponent)
     if isinstance(node, Unary):
         child = rebuilt[id(node.child)]
-        if isinstance(child, Const):
-            folded = _fold_unary(node.op, child.value)
-            if folded is not None:
-                return Const(folded)
+        if node.op == "abs" and isinstance(child, Const):
+            return Const(abs(child.value))
         return Unary(node.op, child)
     if isinstance(node, Min2):
         left = rebuilt[id(node.left)]
@@ -147,34 +162,24 @@ def _simplify_node(node: Expr, rebuilt: dict[int, Expr]) -> Expr:
     return node
 
 
-def _fold_unary(op: str, value: float) -> float | None:
-    try:
-        if op == "sin":
-            return math.sin(value)
-        if op == "cos":
-            return math.cos(value)
-        if op == "tan":
-            return math.tan(value)
-        if op == "tanh":
-            return math.tanh(value)
-        if op == "sigmoid":
-            if value >= 0:
-                return 1.0 / (1.0 + math.exp(-value))
-            e = math.exp(value)
-            return e / (1.0 + e)
-        if op == "exp":
-            return math.exp(value)
-        if op == "log":
-            return math.log(value) if value > 0 else None
-        if op == "sqrt":
-            return math.sqrt(value) if value >= 0 else None
-        if op == "abs":
-            return abs(value)
-        if op == "atan":
-            return math.atan(value)
-    except (OverflowError, ValueError):
+def _exact_fold(op, left: float, right: "float | int") -> Const | None:
+    """``Const(op(left, right))`` when the float result is exact, else None.
+
+    ``op`` is an :mod:`operator` function, applied once to the floats and
+    once to their exact :class:`~fractions.Fraction` values.  A rounded,
+    overflowed, undefined or non-finite result is None: the caller keeps
+    the node for the interval semantics to bound.
+    """
+    if not (math.isfinite(left) and math.isfinite(right)):
         return None
-    return None
+    try:
+        value = op(left, right)
+        exact = op(Fraction(left), Fraction(right))
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if not math.isfinite(value) or Fraction(value) != exact:
+        return None
+    return Const(value)
 
 
 def structurally_equal(a: Expr, b: Expr) -> bool:

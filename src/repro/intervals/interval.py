@@ -284,11 +284,12 @@ class Interval:
             return Interval.point(1.0)
         if exponent < 0:
             return (self ** (-exponent)).reciprocal()
-        # float ** int is libm's pow()
         if exponent % 2 == 1:
-            return Interval(libm_down(self.lo**exponent), libm_up(self.hi**exponent))
-        lo_p = self.lo**exponent
-        hi_p = self.hi**exponent
+            return Interval(
+                libm_down(_pow(self.lo, exponent)), libm_up(_pow(self.hi, exponent))
+            )
+        lo_p = _pow(self.lo, exponent)
+        hi_p = _pow(self.hi, exponent)
         if self.contains(0.0):
             return Interval(0.0, libm_up(max(lo_p, hi_p)))
         return Interval(libm_down(min(lo_p, hi_p)), libm_up(max(lo_p, hi_p)))
@@ -328,9 +329,9 @@ class Interval:
         )
 
     def exp(self) -> "Interval":
-        lo = math.exp(self.lo) if self.lo > -_INF else 0.0
-        hi = math.exp(self.hi) if self.hi < _INF else _INF
-        return Interval(max(libm_down(lo), 0.0), libm_up(hi))
+        return Interval(
+            max(libm_down(_exp(self.lo)), 0.0), libm_up(_exp(self.hi))
+        )
 
     def log(self) -> "Interval":
         if self.hi <= 0.0:
@@ -410,6 +411,27 @@ def _one_sided_divide(num: Interval, den: Interval) -> Interval:
     else:  # den.hi == 0.0, subset of (-, 0]
         rec = Interval(-_INF, round_up(1.0 / den.lo))
     return num * rec
+
+
+def _pow(x: float, n: int) -> float:
+    """``x ** n`` (libm's ``pow``), or the signed infinity it overflows to.
+
+    The libm padding then rounds an infinite result outward like a
+    finite one: an overflowed ``hi`` stays ``+inf`` and an overflowed
+    ``lo`` becomes the largest float, both sound bounds.
+    """
+    try:
+        return x**n
+    except OverflowError:
+        return -_INF if x < 0.0 and n % 2 else _INF
+
+
+def _exp(x: float) -> float:
+    """``math.exp(x)``, or ``+inf`` where it overflows (see :func:`_pow`)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return _INF
 
 
 def _sigmoid(x: float) -> float:

@@ -207,8 +207,6 @@ def _strip(artifact) -> dict:
     data = artifact.to_dict()
     for volatile in VOLATILE_FIELDS:
         data.pop(volatile, None)
-    if isinstance(data.get("config"), dict):
-        data["config"].pop("engine", None)
     return data
 
 

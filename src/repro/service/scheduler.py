@@ -44,7 +44,6 @@ from ..api.family import family_names, get_family
 from ..api.pool import WarmPool, WarmupSpec
 from ..api.runner import (
     RunArtifact,
-    _resolve_run_engine,
     derive_scenario_seed,
     run,
 )
@@ -54,6 +53,7 @@ from ..api.scenario import (
     synthesis_config_to_dict,
 )
 from ..api.sweep import instantiate_points
+from ..engine import Engine, resolve_engine
 from ..errors import ReproError
 from ..resilience.supervisor import Backoff, incidents, record_incident
 from ..store import ArtifactStore, run_key
@@ -247,8 +247,8 @@ class Scheduler:
     # ------------------------------------------------------------------
     def _expand_spec(
         self, spec: JobSpec
-    ) -> tuple[list[dict], list[Scenario], list, list]:
-        """Resolve a spec into (points, scenarios, configs, engines).
+    ) -> tuple[list[dict], list[Scenario], list, Engine]:
+        """Resolve a spec into (points, scenarios, configs, engine).
 
         Families win name collisions with scenarios (the family
         interpretation is strictly more general); a plain scenario
@@ -271,16 +271,14 @@ class Scheduler:
                 )
             scenarios = [get_scenario(spec.target)]
             points = [{}]
-        configs = []
-        engines = []
-        for scenario in scenarios:
-            cfg = dataclasses.replace(
+        configs = [
+            dataclasses.replace(
                 scenario.config,
                 seed=derive_scenario_seed(spec.seed, scenario.name),
             )
-            configs.append(cfg)
-            engines.append(_resolve_run_engine(scenario, cfg, spec.engine))
-        return points, scenarios, configs, engines
+            for scenario in scenarios
+        ]
+        return points, scenarios, configs, resolve_engine(spec.engine)
 
     def submit(
         self,
@@ -296,10 +294,10 @@ class Scheduler:
         """
         if not isinstance(spec, JobSpec):
             spec = JobSpec.from_dict(spec)
-        points, scenarios, configs, engines = self._expand_spec(spec)
+        points, scenarios, configs, engine = self._expand_spec(spec)
         keys = [
             run_key(scenario, config, engine.name)
-            for scenario, config, engine in zip(scenarios, configs, engines)
+            for scenario, config in zip(scenarios, configs)
         ]
         hits: "list[RunArtifact | None]" = [None] * len(keys)
         completed = self._completed
@@ -349,7 +347,7 @@ class Scheduler:
                     task.waiters.append((job.id, i))
                     job.coalesced += 1
                 else:
-                    task = _PointTask(key, scenarios[i], configs[i], engines[i])
+                    task = _PointTask(key, scenarios[i], configs[i], engine)
                     task.waiters.append((job.id, i))
                     self._tasks_by_key[key] = task
                     heapq.heappush(
@@ -549,7 +547,7 @@ class Scheduler:
             return
         try:
             # Deterministic re-expansion: same spec, same seeds, same keys.
-            _, scenarios, configs, engines = self._expand_spec(job.spec)
+            _, scenarios, configs, engine = self._expand_spec(job.spec)
         except ReproError as exc:
             with self._cond:
                 if not job.state.terminal:
@@ -571,9 +569,7 @@ class Scheduler:
                     if (job.id, index) not in task.waiters:
                         task.waiters.append((job.id, index))
                     continue
-                task = _PointTask(
-                    key, scenarios[index], configs[index], engines[index]
-                )
+                task = _PointTask(key, scenarios[index], configs[index], engine)
                 task.waiters.append((job.id, index))
                 self._tasks_by_key[key] = task
                 heapq.heappush(

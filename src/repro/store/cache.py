@@ -91,8 +91,9 @@ CACHE_ENV = "REPRO_CACHE"
 #: the LP's row-generation relaxations run without HiGHS presolve, which
 #: moves coefficients and levels in their last bits, and template power
 #: tables are exact products instead of NumPy's SIMD ``pow``, so feature
-#: bits no longer follow the CPU dispatch)
-FINGERPRINT_VERSION = 7
+#: bits no longer follow the CPU dispatch; 8: the config dict lost its
+#: ``engine`` key, which only the ``engine_name`` argument now names)
+FINGERPRINT_VERSION = 8
 
 #: ``.tmp`` leftovers older than this are treated as crashed writers'
 #: debris and swept by :meth:`ArtifactStore.collect_garbage` (and by

@@ -158,8 +158,9 @@ class TestConfigSerialization:
         assert rebuilt.icp.delta == 1e-2
 
     def test_artifact_with_retired_icp_keys_loads(self):
-        # an artifact config as written before the contractor knobs and
-        # the portfolio engine's solver timeout were retired
+        # an artifact config as written before the contractor knobs,
+        # the portfolio engine's solver timeout and the config's own
+        # engine were retired
         old_config = {
             "seed": 0, "num_seed_traces": 20, "trace_duration": 12.0,
             "trace_dt": 0.05, "integrator": "rk4", "gamma": 1e-06,
@@ -184,7 +185,7 @@ class TestConfigSerialization:
                         "verified": True, "config": old_config})
         )
         config = artifact.synthesis_config
-        assert config == SynthesisConfig(engine="portfolio")
+        assert config == SynthesisConfig()
         flat_icp = synthesis_config_to_dict(config)["icp"]
         assert "use_contractor" not in flat_icp
         assert "solver_timeout" not in flat_icp

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.barrier import (
@@ -10,7 +9,6 @@ from repro.barrier import (
     falsify_cmaes,
     falsify_random,
     trajectory_robustness,
-    witness_point,
 )
 from repro.dynamics import error_dynamics_system
 from repro.errors import ReproError
@@ -103,50 +101,3 @@ class TestFalsifiers:
         system, x0, unsafe = safe_problem
         result = falsify_random(system, x0, unsafe, budget=5, seed=0)
         assert "not falsified" in str(result)
-
-
-class TestWitnessPoint:
-    """δ-sat model → simulation seed (the external-solver witness path)."""
-
-    def test_scalar_values_pass_through(self):
-        point = witness_point({"x": -0.25, "y": 1.5}, ("x", "y"))
-        np.testing.assert_array_equal(point, [-0.25, 1.5])
-
-    def test_closed_interval_takes_midpoint(self):
-        point = witness_point({"x": (1.0, 3.0)}, ("x",))
-        np.testing.assert_array_equal(point, [2.0])
-
-    def test_open_interval_midpoint_strictly_inside(self):
-        # dReal reports open intervals like `x : ( 0.4, 0.6 )`; the
-        # midpoint lies strictly inside, so openness never matters.
-        point = witness_point({"x": (0.4, 0.6)}, ("x",))
-        assert point[0] == pytest.approx(0.5)
-        assert 0.4 < point[0] < 0.6
-
-    def test_degenerate_interval_is_the_point(self):
-        np.testing.assert_array_equal(
-            witness_point({"x": [1.25, 1.25]}, ("x",)), [1.25]
-        )
-
-    def test_mixed_model_and_name_order(self):
-        model = {"b": (0.0, 1.0), "a": -2.0}
-        np.testing.assert_array_equal(
-            witness_point(model, ("a", "b")), [-2.0, 0.5]
-        )
-
-    def test_missing_name_raises(self):
-        with pytest.raises(ReproError, match="no value"):
-            witness_point({"x": 1.0}, ("x", "y"))
-
-    def test_wrong_length_interval_raises(self):
-        with pytest.raises(ReproError, match="lo, hi"):
-            witness_point({"x": (1.0, 2.0, 3.0)}, ("x",))
-
-    def test_inverted_interval_raises(self):
-        with pytest.raises(ReproError, match="empty interval"):
-            witness_point({"x": (2.0, 1.0)}, ("x",))
-
-    def test_nonfinite_raises(self):
-        for bad in (float("nan"), float("inf"), (0.0, float("inf"))):
-            with pytest.raises(ReproError, match="non-finite"):
-                witness_point({"x": bad}, ("x",))

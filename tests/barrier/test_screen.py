@@ -182,7 +182,6 @@ def test_native_and_batched_agree_on_a_cartpole_point():
         data = api.run(scenario, config=config, engine=engine, cache=False).to_dict()
         for volatile in VOLATILE_FIELDS:
             data.pop(volatile, None)
-        data["config"].pop("engine", None)
         artifacts[engine] = data
     assert artifacts["native"]["screened_counterexamples"] > 0
     assert artifacts["native"] == artifacts["batched-icp"]

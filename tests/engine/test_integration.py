@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import time
 
 import numpy as np
 import pytest
 
 from repro.api import (
+    RunArtifact,
+    Scenario,
     VerificationPipeline,
     get_scenario,
     run,
@@ -18,6 +22,9 @@ from repro.api import (
 from repro.barrier import SynthesisConfig, verify_system
 from repro.engine import Engine, get_engine, register_engine, unregister_engine
 from repro.errors import ReproError
+from repro.service import Job, JobJournal, JobSpec, JobState, Scheduler
+from repro.service.jobs import JOURNAL_NAME
+from repro.store import ArtifactStore
 
 
 @pytest.fixture(scope="module")
@@ -28,12 +35,6 @@ def linear_problem():
 class TestVerifySystem:
     def test_engine_by_name(self, linear_problem):
         report = verify_system(linear_problem, engine="batched-icp")
-        assert report.verified
-
-    def test_engine_via_config(self, linear_problem):
-        report = verify_system(
-            linear_problem, config=SynthesisConfig(engine="batched-icp")
-        )
         assert report.verified
 
     def test_engine_object(self, linear_problem):
@@ -71,14 +72,6 @@ class TestPipelineAndRun:
         assert artifact.engine == "batched-icp"
         assert artifact.verified
 
-    def test_scenario_engine_override(self):
-        scenario = get_scenario("linear").with_engine("batched-icp")
-        artifact = run(scenario)
-        assert artifact.engine == "batched-icp"
-        # explicit argument beats the scenario override
-        artifact = run(scenario, engine="native")
-        assert artifact.engine == "native"
-
     def test_run_batch_engine(self):
         artifacts = run_batch(["linear", "vanderpol"], workers=2, engine="batched-icp")
         assert [a.engine for a in artifacts] == ["batched-icp", "batched-icp"]
@@ -103,53 +96,97 @@ class TestPipelineAndRun:
         assert [a.engine for a in artifacts] == ["session-engine"] * 2
         assert all(a.verified for a in artifacts)
 
-    def test_scenario_level_session_engine_reaches_workers(self):
-        """Scenario.engine naming a user-registered engine must resolve
-        in the parent, before fan-out — workers never see the name."""
-        base = get_engine("native")
-        register_engine(
-            Engine(
-                name="scenario-session-engine",
-                description="",
-                sim=base.sim,
-                lp=base.lp,
-                smt=base.smt,
-            )
-        )
-        try:
-            scenario = get_scenario("linear").with_engine(
-                "scenario-session-engine"
-            )
-            artifacts = run_batch([scenario, "vanderpol"], workers=2)
-        finally:
-            unregister_engine("scenario-session-engine")
-        assert artifacts[0].engine == "scenario-session-engine"
-        assert artifacts[0].error is None and artifacts[0].verified
-        assert artifacts[1].engine == "native"
-
     def test_unknown_engine_fails_fast_in_batch(self):
         with pytest.raises(ReproError, match="unknown engine"):
             run_batch(["linear"], engine="warp-drive")
 
 
-class TestConfigSerialization:
-    def test_engine_name_round_trips(self):
-        config = SynthesisConfig(engine="batched-icp")
-        data = synthesis_config_to_dict(config)
-        assert data["engine"] == "batched-icp"
-        assert synthesis_config_from_dict(data).engine == "batched-icp"
+def _old_config_dict(engine: str) -> dict:
+    """A flattened config as written while configs still named an engine."""
+    data = synthesis_config_to_dict(get_scenario("linear").config)
+    data["engine"] = engine
+    return data
 
-    def test_engine_object_flattens_to_name(self):
-        config = dataclasses.replace(
-            SynthesisConfig(), engine=get_engine("batched-icp")
-        )
-        data = synthesis_config_to_dict(config)
-        assert data["engine"] == "batched-icp"
 
-    def test_legacy_dict_without_engine_defaults_native(self):
-        data = synthesis_config_to_dict(SynthesisConfig())
-        data.pop("engine")
-        assert synthesis_config_from_dict(data).engine == "native"
+class TestRetiredEngineFields:
+    """Configs no longer name an engine: older artifacts, scenario files
+    and service journals that carry ``config.engine`` still load, and
+    the run takes its engine from the ``engine=`` argument alone."""
+
+    def test_config_has_no_engine_field(self):
+        assert "engine" not in {f.name for f in dataclasses.fields(SynthesisConfig)}
+        assert "engine" not in {f.name for f in dataclasses.fields(Scenario)}
+        assert not hasattr(Scenario, "with_engine")
+        assert "engine" not in synthesis_config_to_dict(SynthesisConfig())
+
+    @pytest.mark.parametrize("old_engine", ["portfolio", "batched-icp"])
+    def test_artifact_dict_with_config_engine_loads(self, old_engine):
+        data = {
+            "scenario": "linear", "status": "verified", "verified": True,
+            "engine": old_engine, "config": _old_config_dict(old_engine),
+        }
+        artifact = RunArtifact.from_json(json.dumps(data))
+        config = artifact.synthesis_config
+        assert config == get_scenario("linear").config
+        rerun = run("linear", config=config, engine="batched-icp", cache=False)
+        assert rerun.engine == "batched-icp" and rerun.verified
+        assert "engine" not in rerun.config
+
+    def test_scenario_config_dict_with_engine_loads(self):
+        config = synthesis_config_from_dict(_old_config_dict("batched-icp"))
+        scenario = get_scenario("linear").with_config(config)
+        # the dict's engine is ignored: no argument means native
+        assert run(scenario, cache=False).engine == "native"
+        artifacts = run_batch([scenario], engine="batched-icp", cache=False)
+        assert [a.engine for a in artifacts] == ["batched-icp"]
+
+    def test_journal_entry_with_config_engine_recovers(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        journal = JobJournal(store.root / "service" / JOURNAL_NAME)
+        spec = JobSpec(target="linear", engine="batched-icp").to_dict()
+        spec["config"] = _old_config_dict("portfolio")
+        journal.append({
+            "event": "submit", "job": "old-job", "spec": spec, "priority": 0,
+            "points": ["linear"], "params": [{}], "keys": ["ab" + "0" * 62],
+            "created": 0.0,
+        })
+        scheduler = Scheduler(store, pool=False, workers=1, journal=True)
+        try:
+            (job,) = scheduler.recover()
+            deadline = time.monotonic() + 60.0
+            while not scheduler.job(job.id).state.terminal:
+                assert time.monotonic() < deadline, "recovered job never finished"
+                time.sleep(0.02)
+            (artifact,) = scheduler.job_result(job.id)
+        finally:
+            scheduler.shutdown(wait=True)
+        assert artifact.engine == "batched-icp" and artifact.verified
+
+    def test_stored_artifact_with_config_engine_hydrates(self, tmp_path):
+        """A finished job journaled before the change resolves its
+        artifact, which still carries ``config.engine``, from the store."""
+        store = ArtifactStore(tmp_path / "store")
+        old = RunArtifact.from_dict({
+            "scenario": "linear", "status": "verified", "verified": True,
+            "engine": "portfolio", "config": _old_config_dict("portfolio"),
+        })
+        key = "cd" + "0" * 62
+        store.put(key, old)
+        journal = JobJournal(store.root / "service" / JOURNAL_NAME)
+        job = Job(id="old-done", spec=JobSpec(target="linear", engine="portfolio"),
+                  points=["linear"], params=[{}], keys=[key], artifacts=[None])
+        journal.record_submit(job)
+        journal.record_point(job.id, 0, "verified", False)
+        journal.record_state(job.id, JobState.RUNNING)
+        journal.record_state(job.id, JobState.DONE)
+        scheduler = Scheduler(store, pool=False, workers=1, journal=True)
+        try:
+            assert scheduler.recover() == []
+            assert scheduler.job(job.id).state is JobState.DONE
+            (artifact,) = scheduler.job_result(job.id)
+        finally:
+            scheduler.shutdown(wait=True)
+        assert artifact.synthesis_config == get_scenario("linear").config
 
 
 class TestNativeBitIdentity:

@@ -7,6 +7,7 @@ Three families: empty results of contraction/intersection, degenerate
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -140,3 +141,62 @@ class TestDirectedRounding:
         round_tripped = (x + y) - y
         assert round_tripped.contains(0.1)
         assert round_tripped.width() < 1e-15
+
+
+class TestOverflow:
+    """An endpoint image beyond the float range gives an unbounded
+    enclosure, as the compiled tape's ``eval_boxes`` does, not an
+    ``OverflowError``."""
+
+    def test_exp_upper_overflow(self):
+        result = Interval(700.0, 800.0).exp()
+        assert result.hi == math.inf
+        assert 0.0 < result.lo < math.exp(700.0)
+
+    def test_exp_both_endpoints_overflow(self):
+        result = Interval(800.0, 900.0).exp()
+        assert result.hi == math.inf
+        assert result.lo == sys.float_info.max
+
+    def test_even_power_overflow(self):
+        result = Interval(-1e300, 1e300).sq()
+        assert result.lo == 0.0 and result.hi == math.inf
+        assert (Interval(1e200, 1e300) ** 2).hi == math.inf
+
+    def test_odd_power_upper_overflow(self):
+        result = Interval(2.0, 1e200) ** 3
+        assert result.hi == math.inf
+        assert result.lo < 8.0 and result.lo == pytest.approx(8.0)
+
+    def test_odd_power_lower_overflow(self):
+        result = Interval(-1e200, 2.0) ** 3
+        assert result.lo == -math.inf
+        assert result.hi > 8.0 and result.hi == pytest.approx(8.0)
+        below = Interval(-1e200, -1e199) ** 3
+        assert below.lo == -math.inf and below.hi == -sys.float_info.max
+
+    def test_negative_power_of_overflow(self):
+        # the true values lie below the smallest float: an enclosure of 0
+        result = Interval(1e200, 1e300) ** -2
+        assert result.lo <= 0.0 < result.hi < 1e-300
+
+    @pytest.mark.parametrize(
+        "exponent, bounds",
+        [(None, (700.0, 800.0)), (2, (-1e300, 1e300)), (3, (2.0, 1e200)),
+         (3, (-1e200, 2.0))],
+        ids=["exp", "sq", "cube-hi", "cube-lo"],
+    )
+    def test_oracle_agrees_with_tape(self, exponent, bounds):
+        from repro.expr import compile_expression, exp, var
+
+        x = var("x")
+        expr = exp(x) if exponent is None else x**exponent
+        with np.errstate(all="ignore"):
+            lo, hi = compile_expression(expr, ["x"]).eval_boxes(
+                np.array([[bounds[0]]]), np.array([[bounds[1]]])
+            )
+        box = Interval(*bounds)
+        oracle = box.exp() if exponent is None else box**exponent
+        assert (oracle.hi == math.inf) == (hi[0] == math.inf)
+        assert (oracle.lo == -math.inf) == (lo[0] == -math.inf)
+        assert math.inf in (oracle.hi, -oracle.lo)

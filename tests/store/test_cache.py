@@ -108,22 +108,22 @@ class TestRunKey:
             (
                 lambda: api.get_scenario("linear"),
                 "native",
-                "7b7c025b812c0142d19b75b5abda140945cdfa225df3cec35c45fb734b4af5fc",
+                "e5ec4ef1800e080441a6d9c6b3cd94c85cbadcfb3d4aed85fe4076a2b3641d5e",
             ),
             (
                 lambda: api.get_scenario("dubins"),
                 "batched-icp",
-                "db825b6fdb0f1216abeb6e20ccca717ab4c976fcff89336506146461ea83d46c",
+                "7ab38bdfeacfe762f4cce9890180f9cead436df6a1a4ef05268022237bacc08d",
             ),
             (
                 lambda: api.get_family("cartpole").instantiate(),
                 "batched-icp",
-                "76e34de470f886e7ec1e3c6655e64fda32de2354093eee62d33c0079b80308d7",
+                "3a6c52b1b5396a9626f2493995f3f43c3d014663d921f3c8c0040b748c9ed39e",
             ),
             (
                 lambda: api.get_family("dubins").instantiate(),
                 "batched-icp",
-                "b956d57b9ff86598b712bd1eba4d78dd335472372c0791bd4628812a5212a7c5",
+                "42ef9373ded9a131ee46fe0b3952275c2b225bdd7cc54396ee6288b56211148b",
             ),
         ],
         ids=["linear-native", "dubins-batched", "cartpole-family", "dubins-family"],

@@ -226,9 +226,7 @@ class TestScenarioCommands:
         names = {entry["name"] for entry in payload}
         assert {"dubins", "linear", "vanderpol"} <= names
         for entry in payload:
-            assert set(entry) == {
-                "name", "description", "dimension", "tags", "engine",
-            }
+            assert set(entry) == {"name", "description", "dimension", "tags"}
 
     def test_batch_named_scenarios(self, capsys, tmp_path):
         out_file = tmp_path / "batch.json"
@@ -317,32 +315,12 @@ class TestEngineCommands:
 
 
 class TestSolverCommands:
-    def test_solvers_table(self, capsys):
-        code = main(["solvers"])
-        out = capsys.readouterr().out
-        assert code == 0
-        for name in ("z3", "dreal"):
-            assert name in out
-        assert "external solvers available" in out
-        # The remedy for a bare container is spelled out.
-        assert "REPRO_Z3" in out and "REPRO_DREAL" in out
-
-    def test_solvers_json(self, capsys):
-        import json
-
-        code = main(["solvers", "--json"])
-        out = capsys.readouterr().out
-        assert code == 0
-        payload = json.loads(out)
-        by_name = {entry["name"]: entry for entry in payload}
-        assert {"z3", "dreal"} <= set(by_name)
-        for entry in by_name.values():
-            assert set(entry) >= {
-                "name", "command", "available", "version", "reason"
-            }
-            assert isinstance(entry["available"], bool)
-            if not entry["available"]:
-                assert entry["reason"]
+    def test_solvers_is_unknown_command(self, capsys):
+        # the external-solver probe was removed with its adapters
+        with pytest.raises(SystemExit) as exc:
+            main(["solvers"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'solvers'" in capsys.readouterr().err
 
     def test_verify_has_no_solver_timeout_flag(self, capsys):
         with pytest.raises(SystemExit):
